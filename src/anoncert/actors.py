@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .curve import (
-    CurveParams,
     KeyPair,
     Point,
     Scalar,
@@ -65,6 +64,7 @@ from .errors import (
     KeyMismatch,
     NotFinalized,
     ProtocolStateError,
+    UnknownCurve,
     UnknownRequestHash,
 )
 from .rng import RandomSource
@@ -138,20 +138,13 @@ class Transcript:
     def bytes_for(self, actor: str) -> bytes:
         return b"".join(e.message for e in self.entries if e.actor == actor)
 
-    def actor_contains(self, actor: str, needle: bytes) -> bool:
-        return needle in self.bytes_for(actor)
-
-
-def _params(curve_id: str) -> CurveParams:
-    return get_curve(curve_id)
-
 
 def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
                       details: Mapping[str, str],
                       rng: RandomSource) -> tuple[CertificateRequest, EeState]:
     if state.secrets is not None:
         raise ProtocolStateError("a request is already pending for this EE")
-    params = _params(state.curve_id)
+    params = get_curve(state.curve_id)
     r_ra = random_blinding(params, rng)
     aes_key = SymmetricKey(rng.read(32))
     r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), params, rng)
@@ -169,9 +162,9 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
     return req, new_state
 
 
-def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
-                       allowlist=None) -> tuple[ForwardedRequest, RaState]:
-    params = _params(req.preexisting_cert.curve_id)
+def ra_process_request(state: RaState, req: CertificateRequest,
+                       ee_id: str) -> tuple[ForwardedRequest, RaState]:
+    params = get_curve(req.preexisting_cert.curve_id)
     if not verify(req.preexisting_cert.public_key, request_tbs_bytes(req),
                   req.signature, params):
         raise BadSignature("request signature does not verify under the "
@@ -193,8 +186,7 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
     # DegenerateResult propagates: r_RA is EE-chosen, so the RA cannot
     # resample; the EE must retry with a fresh blinding value.
     temp_public = expand_public(req.preexisting_cert.public_key, r_ra, params)
-    details = (sanitize_details(req.details) if allowlist is None
-               else sanitize_details(req.details, allowlist=allowlist))
+    details = sanitize_details(req.details)
     details[REQUEST_HASH_KEY] = req_hash.hex().upper()
     unsigned = ForwardedRequest(
         curve_id=params.curve_id,
@@ -213,7 +205,7 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
 def ca_process_request(state: CaState, fwd: ForwardedRequest,
                        validity: tuple[int, int],
                        rng: RandomSource) -> tuple[CertificateResponse, CaState]:
-    params = _params(fwd.curve_id)
+    params = get_curve(fwd.curve_id)
     if not verify(state.trusted_ra_public, forwarded_tbs_bytes(fwd),
                   fwd.signature, params):
         raise BadSignature("forwarded request not signed by the trusted RA")
@@ -273,7 +265,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
                         ca_public: Point, now: int) -> EeState:
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
-    params = _params(state.curve_id)
+    params = get_curve(state.curve_id)
     if not verify(ca_public, response_tbs_bytes(resp), resp.signature, params):
         raise BadSignature("response not signed by the CA")
     try:
@@ -307,7 +299,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
 def sign_ballot(state: EeState, payload: bytes) -> Ballot:
     if state.result is None:
         raise NotFinalized("EE has no anonymous certificate yet")
-    params = _params(state.curve_id)
+    params = get_curve(state.curve_id)
     unsigned = Ballot(payload, state.result.anon_cert, None)  # type: ignore[arg-type]
     sig = sign(state.result.formal_private, ballot_tbs_bytes(unsigned), params)
     return replace(unsigned, signature=sig)
@@ -315,8 +307,8 @@ def sign_ballot(state: EeState, payload: bytes) -> Ballot:
 
 def verify_ballot(ballot: Ballot, ca_public: Point, now: int) -> bool:
     try:
-        params = _params(ballot.anon_cert.curve_id)
-    except ValueError:
+        params = get_curve(ballot.anon_cert.curve_id)
+    except UnknownCurve:
         return False
     if ballot.anon_cert.kind != KIND_ANONYMOUS:
         return False

@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .curve import CurveParams, Point, Scalar, get_curve, is_on_curve, scalar_mul
-from .envelope import EciesCiphertext, Signature, SymmetricCiphertext, digest, sign, verify
+from .curve import CurveParams, Point, Scalar, is_on_curve
+from .envelope import EciesCiphertext, Signature, SymmetricCiphertext, sign, verify
 from .errors import InvalidKey, InvalidValidity, MalformedEncoding
 from .rng import RandomSource
 
@@ -29,9 +29,6 @@ TAG_RESPONSE = 0x0004
 TAG_BALLOT = 0x0005
 
 DEFAULT_DETAIL_ALLOWLIST = frozenset({"purpose", "election_id", "curve_id"})
-DEFAULT_DETAIL_DENYLIST = frozenset(
-    {"name", "email", "address", "phone", "national_id", "birthdate"}
-)
 
 
 @dataclass(frozen=True)
@@ -326,14 +323,10 @@ def verify_certificate(cert: Certificate, issuer_public: Point, now: int,
                   cert.issuer_signature, params)
 
 
-def sanitize_details(details: Mapping[str, str],
-                     allowlist=DEFAULT_DETAIL_ALLOWLIST,
-                     denylist=DEFAULT_DETAIL_DENYLIST) -> dict:
-    """Keep only allowlisted keys. The allowlist wins on conflict, so denylist
-    membership never removes an allowlisted key; anything off the allowlist is
-    dropped whether or not the denylist names it."""
-    del denylist  # subordinate to the allowlist; kept as a policy surface
-    return {k: v for k, v in details.items() if k in allowlist}
+def sanitize_details(details: Mapping[str, str]) -> dict:
+    """Keep only the keys on DEFAULT_DETAIL_ALLOWLIST; everything else,
+    identifying fields included, is dropped."""
+    return {k: v for k, v in details.items() if k in DEFAULT_DETAIL_ALLOWLIST}
 
 
 def to_json(msg) -> str:

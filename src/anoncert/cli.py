@@ -10,13 +10,13 @@ import sys
 
 import click
 
-from .curve import CURVES, TOY, generate_keypair, get_curve
+from .curve import OPENSSL_CURVES, generate_keypair, get_curve
 from .harness import PRESETS, RunReport, ScenarioConfig, run_scenario
 from .oracle import run_oracle_suite
 from .rng import SystemRng
 from .vectors import verify_published_vectors
 
-NAMED_CURVES = [c for c in CURVES if c != TOY]
+NAMED_CURVES = list(OPENSSL_CURVES)
 
 
 @click.group()

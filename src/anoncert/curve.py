@@ -14,11 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from cryptography.hazmat.primitives.asymmetric import ec
+
 from .errors import (
     BlindingOutOfRange,
     CurveMismatch,
     DegenerateResult,
     NotOnCurve,
+    UnknownCurve,
 )
 from .rng import RandomSource, random_int_in_range
 
@@ -146,12 +149,20 @@ CURVES = {
     TOY: _TOY,
 }
 
+# The named curves, which the protocol runs on, and their `cryptography`
+# counterparts used for signing. The toy curve has none: it only checks the
+# group arithmetic against the oracle.
+OPENSSL_CURVES = {
+    BRAINPOOL_P256R1: ec.BrainpoolP256R1(),
+    SECP256R1: ec.SECP256R1(),
+}
+
 
 def get_curve(curve_id: str) -> CurveParams:
     try:
         return CURVES[curve_id]
     except KeyError:
-        raise ValueError(f"unknown curve {curve_id!r}") from None
+        raise UnknownCurve(f"unknown curve {curve_id!r}") from None
 
 
 def is_on_curve(P: Point, params: CurveParams) -> bool:
@@ -172,20 +183,8 @@ def _require_operand(P: Point, params: CurveParams) -> None:
 def point_add(P: Point, Q: Point, params: CurveParams) -> Point:
     _require_operand(P, params)
     _require_operand(Q, params)
-    p = params.p
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    if P.x == Q.x and (P.y + Q.y) % p == 0:
-        return Point.infinity(params.curve_id)
-    if P.x == Q.x:
-        lam = (3 * P.x * P.x + params.a) * pow(2 * P.y, -1, p) % p
-    else:
-        lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
-    x = (lam * lam - P.x - Q.x) % p
-    y = (lam * (P.x - x) - P.y) % p
-    return Point(params.curve_id, x, y)
+    return _jac_to_affine(_jac_add(_to_jac(P), _to_jac(Q), params.p, params.a),
+                          params.p, params.curve_id)
 
 
 def point_neg(P: Point, params: CurveParams) -> Point:
@@ -194,11 +193,15 @@ def point_neg(P: Point, params: CurveParams) -> Point:
     return Point(P.curve_id, P.x, (-P.y) % params.p)
 
 
-# Jacobian-coordinate helpers used only inside scalar_mul; (X, Y, Z) with
-# x = X/Z^2, y = Y/Z^3, identity encoded as Z = 0. Points convert back to
-# affine losslessly before leaving this module.
+# Jacobian-coordinate helpers behind point_add and scalar_mul; (X, Y, Z)
+# with x = X/Z^2, y = Y/Z^3, identity encoded as Z = 0. Points convert back
+# to affine losslessly before leaving this module.
 
 _JAC_INF = (1, 1, 0)
+
+
+def _to_jac(P: Point):
+    return _JAC_INF if P.is_infinity else (P.x, P.y, 1)
 
 
 def _jac_double(P, p: int, a: int):
@@ -258,7 +261,7 @@ def scalar_mul(k: Scalar, P: Point, params: CurveParams) -> Point:
     k_val = k.value % params.n
     p, a = params.p, params.a
     r0 = _JAC_INF
-    r1 = (P.x, P.y, 1) if not P.is_infinity else _JAC_INF
+    r1 = _to_jac(P)
     for bit_index in reversed(range(params.n.bit_length())):
         if (k_val >> bit_index) & 1:
             r0 = _jac_add(r0, r1, p, a)

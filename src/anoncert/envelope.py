@@ -1,26 +1,41 @@
 """Hybrid encryption, authenticated symmetric encryption, and signatures.
 
-ECIES here is curve-native ECDH on the protocol curve + HKDF-SHA256 +
-AES-256-GCM with a zero nonce (every derived key is single-use).
-Symmetric envelopes are AES-256-GCM with a random 12-byte nonce.
-Signatures are ECDSA over SHA-256 with deterministic nonces
-(RFC 6979 HMAC-DRBG construction) so repeated signing is reproducible.
+ECIES here is ECDH on the protocol curve's pure-Python ladder, then
+HKDF-SHA256 (RFC 5869, from `cryptography`) and AES-256-GCM with a zero
+nonce (every derived key is single-use). Symmetric envelopes are
+AES-256-GCM with a random 12-byte nonce. Signatures are ECDSA over
+SHA-256 with deterministic RFC 6979 nonces, so repeated signing is
+reproducible; `cryptography` signs on the named curves, and verification
+runs on the ladder.
 """
 
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .curve import CurveParams, Point, Scalar, generate_keypair, is_on_curve, point_add, scalar_mul
+from .curve import (
+    OPENSSL_CURVES,
+    CurveParams,
+    Point,
+    Scalar,
+    generate_keypair,
+    is_on_curve,
+    point_add,
+    scalar_mul,
+)
 from .errors import (
     AuthenticationFailure,
     InvalidEphemeralKey,
     InvalidRecipientKey,
+    UnknownCurve,
 )
 from .rng import RandomSource
 
@@ -93,23 +108,12 @@ def digest(message: bytes) -> bytes:
     return hashlib.sha256(message).digest()
 
 
-def _hkdf_sha256(ikm: bytes, info: bytes, length: int) -> bytes:
-    prk = hmac.new(b"\x00" * 32, ikm, hashlib.sha256).digest()
-    out = b""
-    block = b""
-    counter = 1
-    while len(out) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
-        out += block
-        counter += 1
-    return out[:length]
-
-
 def _ecdh_key(private: Scalar, public: Point, params: CurveParams) -> bytes:
     shared = scalar_mul(private, public, params)
     if shared.is_infinity:
         raise InvalidEphemeralKey("ECDH produced the identity")
-    return _hkdf_sha256(shared.x.to_bytes(32, "big"), ECIES_CONTEXT, KEY_LEN)
+    hkdf = HKDF(hashes.SHA256(), KEY_LEN, salt=None, info=ECIES_CONTEXT)
+    return hkdf.derive(shared.x.to_bytes(32, "big"))
 
 
 def ecies_encrypt(recipient_public: Point, plaintext: bytes,
@@ -147,53 +151,14 @@ def sym_decrypt(key: SymmetricKey, ct: SymmetricCiphertext, aad: bytes) -> bytes
         raise AuthenticationFailure("AEAD tag check failed") from None
 
 
-def _bits2int(data: bytes, n: int) -> int:
-    x = int.from_bytes(data, "big")
-    excess = len(data) * 8 - n.bit_length()
-    if excess > 0:
-        x >>= excess
-    return x
-
-
-def _deterministic_nonce(private: Scalar, h1: bytes, params: CurveParams) -> int:
-    """RFC 6979 HMAC-SHA256 DRBG yielding a nonce in [1, n-1]."""
-    n = params.n
-    qlen_bytes = (n.bit_length() + 7) // 8
-    x = private.value.to_bytes(qlen_bytes, "big")
-    z = (_bits2int(h1, n) % n).to_bytes(qlen_bytes, "big")
-    v = b"\x01" * 32
-    k = b"\x00" * 32
-    k = hmac.new(k, v + b"\x00" + x + z, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    k = hmac.new(k, v + b"\x01" + x + z, hashlib.sha256).digest()
-    v = hmac.new(k, v, hashlib.sha256).digest()
-    while True:
-        t = b""
-        while len(t) < qlen_bytes:
-            v = hmac.new(k, v, hashlib.sha256).digest()
-            t += v
-        candidate = _bits2int(t[:qlen_bytes], n)
-        if 1 <= candidate <= n - 1:
-            return candidate
-        k = hmac.new(k, v + b"\x00", hashlib.sha256).digest()
-        v = hmac.new(k, v, hashlib.sha256).digest()
-
-
 def sign(signer_private: Scalar, message: bytes, params: CurveParams) -> Signature:
-    n = params.n
-    h1 = digest(message)
-    e = _bits2int(h1, n) % n
-    nonce = _deterministic_nonce(signer_private, h1, params)
-    while True:
-        kG = scalar_mul(Scalar(params.curve_id, nonce), params.g, params)
-        r = kG.x % n
-        if r != 0:
-            s = pow(nonce, -1, n) * (e + r * signer_private.value) % n
-            if s != 0:
-                return Signature(Scalar(params.curve_id, r),
-                                 Scalar(params.curve_id, s))
-        # vanishing r or s has negligible probability; perturb and retry
-        nonce = (nonce + 1) % n or 1
+    curve = OPENSSL_CURVES.get(params.curve_id)
+    if curve is None:
+        raise UnknownCurve(f"no signing backend for curve {params.curve_id!r}")
+    key = ec.derive_private_key(signer_private.value, curve)
+    der = key.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+    r, s = decode_dss_signature(der)
+    return Signature(Scalar(params.curve_id, r), Scalar(params.curve_id, s))
 
 
 def verify(signer_public: Point, message: bytes, sig: Signature,
@@ -203,7 +168,9 @@ def verify(signer_public: Point, message: bytes, sig: Signature,
         return False
     if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
         return False
-    e = _bits2int(digest(message), n) % n
+    # both named curves have a 256-bit n, so ECDSA's truncation of the
+    # SHA-256 digest to the bit length of n keeps every bit
+    e = int.from_bytes(digest(message), "big") % n
     w = pow(sig.s.value, -1, n)
     u1 = Scalar(params.curve_id, e * w % n)
     u2 = Scalar(params.curve_id, sig.r.value * w % n)

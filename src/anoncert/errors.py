@@ -5,6 +5,10 @@ class AnoncertError(Exception):
     """Base class for all toolkit errors."""
 
 
+class UnknownCurve(AnoncertError, ValueError):
+    """A curve id names no supported curve, or a curve the operation lacks."""
+
+
 class CurveMismatch(AnoncertError):
     """Operands are tagged with different curves."""
 

@@ -30,8 +30,15 @@ from .actors import (
     verify_ballot,
 )
 from .certs import KIND_PREEXISTING, encode, issue_certificate
-from .curve import BRAINPOOL_P256R1, SECP256R1, Scalar, generate_keypair, get_curve
-from .errors import AnoncertError
+from .curve import (
+    BRAINPOOL_P256R1,
+    OPENSSL_CURVES,
+    SECP256R1,
+    Scalar,
+    generate_keypair,
+    get_curve,
+)
+from .errors import AnoncertError, UnknownCurve
 from .rng import DeterministicRng
 
 SIMULATION_TIME = 1_750_000_000  # fixed clock keeps runs reproducible
@@ -49,14 +56,15 @@ class ScenarioConfig:
     num_voters: int
     rng_seed: int
     candidate_list: tuple = ("alice", "bob", "carol")
-    detail_allowlist: tuple = ("purpose", "election_id", "curve_id")
 
     def __post_init__(self):
         if self.num_voters < 1:
             raise ValueError("num_voters must be >= 1")
         if not self.candidate_list:
             raise ValueError("candidate_list must be nonempty")
-        get_curve(self.curve_id)
+        if self.curve_id not in OPENSSL_CURVES:
+            raise UnknownCurve(f"scenarios run on {sorted(OPENSSL_CURVES)}, "
+                               f"not {self.curve_id!r}")
 
 
 @dataclass
@@ -87,7 +95,6 @@ class RunReport:
                 "num_voters": self.config.num_voters,
                 "rng_seed": self.config.rng_seed,
                 "candidate_list": list(self.config.candidate_list),
-                "detail_allowlist": list(self.config.detail_allowlist),
             },
             "voters": [
                 {
@@ -146,7 +153,6 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
 
     ra = RaState(ra_keys, ca_keys.public, frozenset(serials))
     ca = CaState(ca_keys, ra_keys.public)
-    allowlist = frozenset(cfg.detail_allowlist)
 
     ra_forbidden = []  # (label, needle) never allowed in RA transcript
     ca_forbidden = []  # likewise for the CA
@@ -174,7 +180,7 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             transcript.record("RA", "received", req_bytes, ee_id)
             ca_forbidden.append((f"{ee_id}.r_RA", ee.secrets.r_ra.to_bytes()))
 
-            fwd, ra = ra_process_request(ra, req, ee_id, allowlist=allowlist)
+            fwd, ra = ra_process_request(ra, req, ee_id)
             fwd_bytes = encode(fwd)
             transcript.record("RA", "sent", fwd_bytes, ee_id)
             transcript.record("CA", "received", fwd_bytes, ee_id)

@@ -17,6 +17,7 @@ from anoncert.actors import (
 )
 from anoncert.certs import (
     KIND_PREEXISTING,
+    decode,
     encode,
     forwarded_tbs_bytes,
     issue_certificate,
@@ -32,6 +33,7 @@ from anoncert.errors import (
     KeyMismatch,
     NotFinalized,
     ProtocolStateError,
+    UnknownCurve,
     UnknownRequestHash,
 )
 from anoncert.rng import DeterministicRng, FixedRng
@@ -198,6 +200,15 @@ class TestRaProcessing:
                                    scripted_rng([r_ra.to_bytes(32, "big")]))
         with pytest.raises(DegenerateResult):
             ra_process_request(setup.ra, req, "voter-0")
+
+    def test_unknown_curve_is_typed(self, drng):
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        cert = dataclasses.replace(req.preexisting_cert, curve_id="nope")
+        wire = decode(encode(dataclasses.replace(req, preexisting_cert=cert)))
+        with pytest.raises(UnknownCurve):
+            ra_process_request(setup.ra, wire, "voter-0")
 
     def test_pending_entry_stored(self, drng):
         from anoncert.envelope import digest

@@ -1,6 +1,6 @@
 import pytest
 
-from anoncert.curve import Scalar, generate_keypair
+from anoncert.curve import SECP256R1, Scalar, generate_keypair, scalar_mul
 from anoncert.envelope import (
     EciesCiphertext,
     Signature,
@@ -14,7 +14,7 @@ from anoncert.envelope import (
     sym_encrypt,
     verify,
 )
-from anoncert.errors import AuthenticationFailure, InvalidRecipientKey
+from anoncert.errors import AuthenticationFailure, InvalidRecipientKey, UnknownCurve
 from anoncert.rng import DeterministicRng
 
 R_RA_HEX = "F407A78C2CFC8586AC1BA3199F7CBEF34F138894586B5992B61BB8B5A99C5EE7"
@@ -156,6 +156,22 @@ class TestSignatures:
         pair = generate_keypair(brainpool, drng)
         sig = sign(pair.private, b"wire", brainpool)
         assert Signature.from_bytes(sig.to_bytes(), brainpool.curve_id) == sig
+
+    def test_rfc6979_p256_sha256_sample(self, secp):
+        # RFC 6979, appendix A.2.5: P-256, SHA-256, message "sample"
+        x = Scalar.from_hex(
+            "C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721",
+            SECP256R1)
+        sig = sign(x, b"sample", secp)
+        assert sig.r.to_hex() == (
+            "EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716")
+        assert sig.s.to_hex() == (
+            "F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8")
+        assert verify(scalar_mul(x, secp.g, secp), b"sample", sig, secp)
+
+    def test_toy_curve_cannot_sign(self, toy):
+        with pytest.raises(UnknownCurve):
+            sign(Scalar(toy.curve_id, 3), b"msg", toy)
 
 
 class TestDigest:

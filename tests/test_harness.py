@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from anoncert.cli import main
-from anoncert.curve import BRAINPOOL_P256R1, SECP256R1
+from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY
+from anoncert.errors import UnknownCurve
 from anoncert.harness import PRESETS, ScenarioConfig, run_scenario
 from anoncert.oracle import run_oracle_suite
 from anoncert.vectors import PUBLISHED_VECTORS, verify_published_vectors
@@ -41,6 +43,12 @@ class TestScenario:
             ScenarioConfig(BRAINPOOL_P256R1, 1, 1, candidate_list=())
         with pytest.raises(ValueError):
             ScenarioConfig("no-such-curve", 1, 1)
+
+    def test_toy_curve_rejected(self):
+        # toy keys are 32-byte strings of mostly zeros, so a toy run would
+        # report every voter's secrets as leaked across the views
+        with pytest.raises(UnknownCurve):
+            ScenarioConfig(TOY, 6, 1)
 
     def test_presets_cover_both_curves(self):
         assert set(PRESETS.values()) == {BRAINPOOL_P256R1, SECP256R1}
@@ -123,3 +131,21 @@ class TestTranscriptDump:
         assert len(files) == 8  # 4 messages, each logged at sender and receiver
         content = (tmp_path / files[0]).read_text().strip()
         assert content and set(content) <= set("0123456789ABCDEF")
+
+    @pytest.mark.parametrize("curve_id, want", [
+        (SECP256R1,
+         "4a5937bb9e55016e495997f31bb984e4b4ea6f4582d24809b9956c9925f295c5"),
+        (BRAINPOOL_P256R1,
+         "d4f9749108d78c619d1a82ad65887bbe6d8df5f546cae1c9fd15e597c8f7bbbb"),
+    ])
+    def test_seed_77_wire_golden(self, tmp_path, curve_id, want):
+        # sha256 of every message of the seeded 5-voter demo, in file-name
+        # order; any change to the wire bytes changes it
+        result = CliRunner().invoke(
+            main, ["demo", "--curve", curve_id, "--voters", "5",
+                   "--seed", "77", "--dump-dir", str(tmp_path)])
+        assert result.exit_code == 0
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.read_bytes())
+        assert h.hexdigest() == want
