@@ -8,6 +8,9 @@ State hygiene rules enforced here: the RA holds r_RA only while the
 matching response is pending, then erases it; the CA never stores the
 original public key, r_RA, or any private expansion scalar; the EE wipes
 its blinding secrets once the anonymous certificate is finalized.
+
+One identity gets one credential: the RA forwards at most one request per
+preexisting-certificate serial, and the CA answers each request hash once.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .certs import (
     request_tbs_bytes,
     response_tbs_bytes,
     sanitize_details,
+    signed,
     verify_certificate,
 )
 from .envelope import (
@@ -48,12 +52,12 @@ from .envelope import (
     digest,
     ecies_decrypt,
     ecies_encrypt,
-    sign,
     sym_decrypt,
     sym_encrypt,
     verify,
 )
 from .errors import (
+    AlreadyServed,
     AnoncertError,
     BadCertificate,
     BadSignature,
@@ -62,6 +66,7 @@ from .errors import (
     EnvelopeFailure,
     Ineligible,
     KeyMismatch,
+    MalformedEncoding,
     NotFinalized,
     ProtocolStateError,
     UnknownCurve,
@@ -107,6 +112,7 @@ class RaState:
     ca_public: Point
     eligibility: frozenset  # allowed preexisting-cert serials
     pending: Mapping[bytes, PendingEntry] = field(default_factory=dict)
+    claimed_serials: frozenset = frozenset()  # forwarded: pending or served
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,7 @@ class CaState:
     trusted_ra_public: Point
     issuer_name: str = "CA"
     issued_serials: frozenset = frozenset()
+    request_hashes: frozenset = frozenset()  # every request answered
 
 
 @dataclass(frozen=True)
@@ -149,15 +156,9 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
     aes_key = SymmetricKey(rng.read(32))
     r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), params, rng)
     s_ct = ecies_encrypt(ca_public, aes_key.key, params, rng)
-    unsigned = CertificateRequest(
-        preexisting_cert=state.preexisting_cert,
-        r_ra_ct=r_ra_ct,
-        s_ct=s_ct,
-        details=dict(details),
-        signature=None,  # type: ignore[arg-type]
-    )
-    sig = sign(state.original.private, request_tbs_bytes(unsigned), params)
-    req = replace(unsigned, signature=sig)
+    req = signed(CertificateRequest, state.original.private, params,
+                 preexisting_cert=state.preexisting_cert, r_ra_ct=r_ra_ct,
+                 s_ct=s_ct, details=dict(details))
     new_state = replace(state, secrets=EeSecrets(r_ra, aes_key))
     return req, new_state
 
@@ -174,6 +175,10 @@ def ra_process_request(state: RaState, req: CertificateRequest,
     req_hash = digest(encode(req))
     if req_hash in state.pending:
         raise DuplicateRequest("identical request already pending")
+    serial = req.preexisting_cert.serial
+    if serial in state.claimed_serials:
+        raise AlreadyServed("this certificate serial already has a request "
+                            "pending or served")
     try:
         plaintext = ecies_decrypt(state.keypair.private, req.r_ra_ct, params)
     except AnoncertError as exc:
@@ -188,18 +193,13 @@ def ra_process_request(state: RaState, req: CertificateRequest,
     temp_public = expand_public(req.preexisting_cert.public_key, r_ra, params)
     details = sanitize_details(req.details)
     details[REQUEST_HASH_KEY] = req_hash.hex().upper()
-    unsigned = ForwardedRequest(
-        curve_id=params.curve_id,
-        temporary_public_key=temp_public,
-        s_ct=req.s_ct,
-        details=details,
-        signature=None,  # type: ignore[arg-type]
-    )
-    sig = sign(state.keypair.private, forwarded_tbs_bytes(unsigned), params)
-    fwd = replace(unsigned, signature=sig)
+    fwd = signed(ForwardedRequest, state.keypair.private, params,
+                 curve_id=params.curve_id, temporary_public_key=temp_public,
+                 s_ct=req.s_ct, details=details)
     pending = dict(state.pending)
     pending[req_hash] = PendingEntry(ee_id, r_ra)
-    return fwd, replace(state, pending=pending)
+    return fwd, replace(state, pending=pending,
+                        claimed_serials=state.claimed_serials | {serial})
 
 
 def ca_process_request(state: CaState, fwd: ForwardedRequest,
@@ -212,7 +212,14 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     hash_hex = fwd.details.get(REQUEST_HASH_KEY)
     if hash_hex is None:
         raise ProtocolStateError("forwarded request lacks the RA request hash")
-    request_hash = bytes.fromhex(hash_hex)
+    try:
+        request_hash = bytes.fromhex(hash_hex)
+    except ValueError:
+        raise MalformedEncoding("RA request hash is not hex") from None
+    if len(request_hash) != 32:
+        raise MalformedEncoding("RA request hash is not 32 bytes")
+    if request_hash in state.request_hashes:
+        raise DuplicateRequest("a response for this request hash was issued")
     for attempt in range(MAX_BLINDING_RETRIES):
         r_ca = random_blinding(params, rng)
         try:
@@ -238,16 +245,12 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     # AAD binds the response envelope to its request hash so z cannot be
     # spliced onto another request.
     z_ct = sym_encrypt(aes_key, payload, request_hash, rng)
-    unsigned = CertificateResponse(
-        curve_id=params.curve_id,
-        z_ct=z_ct,
-        request_hash=request_hash,
-        signature=None,  # type: ignore[arg-type]
-    )
-    sig = sign(state.keypair.private, response_tbs_bytes(unsigned), params)
-    resp = replace(unsigned, signature=sig)
+    resp = signed(CertificateResponse, state.keypair.private, params,
+                  curve_id=params.curve_id, z_ct=z_ct,
+                  request_hash=request_hash)
     new_state = replace(
-        state, issued_serials=state.issued_serials | {anon_cert.serial})
+        state, issued_serials=state.issued_serials | {anon_cert.serial},
+        request_hashes=state.request_hashes | {request_hash})
     return resp, new_state
 
 
@@ -300,9 +303,8 @@ def sign_ballot(state: EeState, payload: bytes) -> Ballot:
     if state.result is None:
         raise NotFinalized("EE has no anonymous certificate yet")
     params = get_curve(state.curve_id)
-    unsigned = Ballot(payload, state.result.anon_cert, None)  # type: ignore[arg-type]
-    sig = sign(state.result.formal_private, ballot_tbs_bytes(unsigned), params)
-    return replace(unsigned, signature=sig)
+    return signed(Ballot, state.result.formal_private, params,
+                  payload=payload, anon_cert=state.result.anon_cert)
 
 
 def verify_ballot(ballot: Ballot, ca_public: Point, now: int) -> bool:

@@ -231,18 +231,38 @@ def ballot_tbs_bytes(ballot: Ballot) -> bytes:
     return w.bytes()
 
 
-def encode(msg) -> bytes:
+def tbs_bytes(msg) -> bytes:
+    """The bytes a message's signature covers: its encoding without the
+    trailing signature."""
     if isinstance(msg, Certificate):
-        return cert_tbs_bytes(msg) + msg.issuer_signature.to_bytes()
+        return cert_tbs_bytes(msg)
     if isinstance(msg, CertificateRequest):
-        return request_tbs_bytes(msg) + msg.signature.to_bytes()
+        return request_tbs_bytes(msg)
     if isinstance(msg, ForwardedRequest):
-        return forwarded_tbs_bytes(msg) + msg.signature.to_bytes()
+        return forwarded_tbs_bytes(msg)
     if isinstance(msg, CertificateResponse):
-        return response_tbs_bytes(msg) + msg.signature.to_bytes()
+        return response_tbs_bytes(msg)
     if isinstance(msg, Ballot):
-        return ballot_tbs_bytes(msg) + msg.signature.to_bytes()
+        return ballot_tbs_bytes(msg)
     raise TypeError(f"cannot encode {type(msg).__name__}")
+
+
+def _signature_field(cls) -> str:
+    return "issuer_signature" if cls is Certificate else "signature"
+
+
+def encode(msg) -> bytes:
+    tbs = tbs_bytes(msg)
+    return tbs + getattr(msg, _signature_field(type(msg))).to_bytes()
+
+
+def signed(cls, signer_private: Scalar, params: CurveParams, **fields):
+    """Build a `cls` message from `fields` and sign its tbs_bytes with
+    `signer_private`; the signature field is the one `fields` leaves out."""
+    name = _signature_field(cls)
+    unsigned = cls(**fields, **{name: None})
+    return replace(unsigned, **{name: sign(signer_private, tbs_bytes(unsigned),
+                                           params)})
 
 
 def decode(data: bytes):
@@ -297,7 +317,8 @@ def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
         raise InvalidKey("subject public key off-curve or identity")
     if kind == KIND_ANONYMOUS and subject:
         raise InvalidKey("anonymous certificates must have an empty subject")
-    unsigned = Certificate(
+    return signed(
+        Certificate, issuer_private, params,
         serial=rng.read(16),
         subject=subject,
         issuer=issuer_name,
@@ -306,11 +327,7 @@ def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
         not_before=not_before,
         not_after=not_after,
         kind=kind,
-        issuer_signature=Signature(Scalar(params.curve_id, 1),
-                                   Scalar(params.curve_id, 1)),
     )
-    sig = sign(issuer_private, cert_tbs_bytes(unsigned), params)
-    return replace(unsigned, issuer_signature=sig)
 
 
 def verify_certificate(cert: Certificate, issuer_public: Point, now: int,

@@ -4,9 +4,15 @@ Supports two production curves (brainpoolP256r1, secp256r1) plus a tiny
 order-19 curve (y^2 = x^3 + 2x + 2 mod 17, G = (5,1)) small enough to
 check the whole group exhaustively against a brute-force oracle.
 
-Values are immutable; every function is pure. Scalar multiplication uses
-a fixed-schedule Montgomery ladder over bitlen(n) iterations; this is a
-best-effort constant-time shape, not a verified side-channel guarantee.
+Values are immutable; every function is pure. On the named curves, k*G
+(key generation, key expansion, the end entity's k*G == K check and the
+u1*G of ECDSA verification) runs in OpenSSL through `cryptography`, as do
+ECDH and signing in `envelope`. A pure-Python Montgomery ladder computes
+every other k*P: all of them on the toy curve, and on the named curves
+only the u2*Q of verification, whose scalar comes from the public
+signature and message. No private key, blinding scalar or ECDH secret on
+a named curve reaches the ladder or the Python point addition, so their
+side-channel behaviour is not relied on.
 """
 
 from __future__ import annotations
@@ -150,8 +156,8 @@ CURVES = {
 }
 
 # The named curves, which the protocol runs on, and their `cryptography`
-# counterparts used for signing. The toy curve has none: it only checks the
-# group arithmetic against the oracle.
+# counterparts, which compute k*G, ECDH and signatures on them. The toy
+# curve has none: it only checks the group arithmetic against the oracle.
 OPENSSL_CURVES = {
     BRAINPOOL_P256R1: ec.BrainpoolP256R1(),
     SECP256R1: ec.SECP256R1(),
@@ -254,11 +260,24 @@ def _jac_to_affine(P, p: int, curve_id: str) -> Point:
 
 
 def scalar_mul(k: Scalar, P: Point, params: CurveParams) -> Point:
-    """k*P via a Montgomery ladder with a fixed iteration count."""
+    """k*P. On a named curve with P = G, OpenSSL computes it; otherwise,
+    on the toy curve or for any other P, the Montgomery ladder does."""
     if k.curve_id != params.curve_id:
         raise CurveMismatch(f"{k.curve_id} vs {params.curve_id}")
     _require_operand(P, params)
     k_val = k.value % params.n
+    curve = OPENSSL_CURVES.get(params.curve_id)
+    if curve is None or P.x != params.gx or P.y != params.gy:
+        return _ladder(k_val, P, params)
+    if k_val == 0:  # OpenSSL refuses a zero private key
+        return Point.infinity(params.curve_id)
+    public = ec.derive_private_key(k_val, curve).public_key().public_numbers()
+    return Point(params.curve_id, public.x, public.y)
+
+
+def _ladder(k_val: int, P: Point, params: CurveParams) -> Point:
+    """k_val*P by a Montgomery ladder with a fixed iteration count, for
+    0 <= k_val < n and an on-curve P."""
     p, a = params.p, params.a
     r0 = _JAC_INF
     r1 = _to_jac(P)

@@ -1,12 +1,13 @@
 """Hybrid encryption, authenticated symmetric encryption, and signatures.
 
-ECIES here is ECDH on the protocol curve's pure-Python ladder, then
-HKDF-SHA256 (RFC 5869, from `cryptography`) and AES-256-GCM with a zero
-nonce (every derived key is single-use). Symmetric envelopes are
-AES-256-GCM with a random 12-byte nonce. Signatures are ECDSA over
-SHA-256 with deterministic RFC 6979 nonces, so repeated signing is
-reproducible; `cryptography` signs on the named curves, and verification
-runs on the ladder.
+ECIES here is ECDH on the protocol curve, then HKDF-SHA256 (RFC 5869) and
+AES-256-GCM with a zero nonce (every derived key is single-use).
+Symmetric envelopes are AES-256-GCM with a random 12-byte nonce.
+Signatures are ECDSA over SHA-256 with deterministic RFC 6979 nonces, so
+repeated signing is reproducible. OpenSSL, through `cryptography`, does
+the ECDH, the ephemeral key's k*G, HKDF, AES-GCM and signing. Verification
+checks the range of r and s in Python, computes u1*G in OpenSSL and the
+public u2*Q on the Python ladder of `curve`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .curve import (
     scalar_mul,
 )
 from .errors import (
+    AnoncertError,
     AuthenticationFailure,
+    CurveMismatch,
     InvalidEphemeralKey,
     InvalidRecipientKey,
     UnknownCurve,
@@ -108,12 +111,25 @@ def digest(message: bytes) -> bytes:
     return hashlib.sha256(message).digest()
 
 
-def _ecdh_key(private: Scalar, public: Point, params: CurveParams) -> bytes:
-    shared = scalar_mul(private, public, params)
-    if shared.is_infinity:
+def _ecdh_key(private: Scalar, peer: Point, params: CurveParams,
+              invalid_peer: type[AnoncertError]) -> bytes:
+    """HKDF of the x coordinate of private*peer, computed by OpenSSL.
+    A peer point OpenSSL refuses raises `invalid_peer`."""
+    curve = OPENSSL_CURVES.get(params.curve_id)
+    if curve is None:
+        raise UnknownCurve(f"no ECDH backend for curve {params.curve_id!r}")
+    if private.curve_id != params.curve_id or peer.curve_id != params.curve_id:
+        raise CurveMismatch(f"ECDH operands not on {params.curve_id}")
+    k = private.value % params.n
+    if k == 0 or peer.is_infinity:
         raise InvalidEphemeralKey("ECDH produced the identity")
+    try:
+        peer_key = ec.EllipticCurvePublicNumbers(peer.x, peer.y, curve).public_key()
+    except ValueError:
+        raise invalid_peer(f"peer key is not a point of {params.curve_id}") from None
+    shared_x = ec.derive_private_key(k, curve).exchange(ec.ECDH(), peer_key)
     hkdf = HKDF(hashes.SHA256(), KEY_LEN, salt=None, info=ECIES_CONTEXT)
-    return hkdf.derive(shared.x.to_bytes(32, "big"))
+    return hkdf.derive(shared_x)
 
 
 def ecies_encrypt(recipient_public: Point, plaintext: bytes,
@@ -121,7 +137,7 @@ def ecies_encrypt(recipient_public: Point, plaintext: bytes,
     if recipient_public.is_infinity or not is_on_curve(recipient_public, params):
         raise InvalidRecipientKey("recipient key off-curve or identity")
     eph = generate_keypair(params, rng)
-    key = _ecdh_key(eph.private, recipient_public, params)
+    key = _ecdh_key(eph.private, recipient_public, params, InvalidRecipientKey)
     sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
     return EciesCiphertext(eph.public, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
 
@@ -130,7 +146,8 @@ def ecies_decrypt(recipient_private: Scalar, ct: EciesCiphertext,
                   params: CurveParams) -> bytes:
     if ct.ephemeral_public.is_infinity or not is_on_curve(ct.ephemeral_public, params):
         raise InvalidEphemeralKey("ephemeral key off-curve or identity")
-    key = _ecdh_key(recipient_private, ct.ephemeral_public, params)
+    key = _ecdh_key(recipient_private, ct.ephemeral_public, params,
+                    InvalidEphemeralKey)
     try:
         return AESGCM(key).decrypt(_ZERO_NONCE, ct.body + ct.tag, None)
     except InvalidTag:

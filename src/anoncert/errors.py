@@ -77,6 +77,11 @@ class DuplicateRequest(AnoncertError):
     """A byte-identical request is already pending."""
 
 
+class AlreadyServed(AnoncertError):
+    """The requesting certificate serial already has a request pending or
+    served: one identity gets one anonymous credential."""
+
+
 class KeyMismatch(AnoncertError):
     """Derived formal key does not match the certificate public key."""
 

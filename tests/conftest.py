@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY, get_curve
@@ -46,3 +48,16 @@ class ScriptedRng:
 @pytest.fixture
 def scripted_rng():
     return ScriptedRng
+
+
+def _edge_and_random_scalars(n, count=100, seed=6):
+    rand = random.Random(seed)
+    edges = [0, 1, n - 1, n, n + 1, 2 ** 256 - 1]
+    return edges + [rand.randrange(2 ** 256) for _ in range(count)]
+
+
+@pytest.fixture
+def edge_scalars():
+    """Scalars for native-vs-ladder tests on a curve of order n: 0, 1,
+    n - 1, n, n + 1 and 2^256 - 1, then `count` seeded 256-bit values."""
+    return _edge_and_random_scalars

@@ -17,20 +17,23 @@ from anoncert.actors import (
 )
 from anoncert.certs import (
     KIND_PREEXISTING,
+    ForwardedRequest,
     decode,
     encode,
-    forwarded_tbs_bytes,
     issue_certificate,
+    signed,
 )
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Scalar, get_curve, generate_keypair, scalar_mul
 from anoncert.envelope import SymmetricKey, sym_encrypt
 from anoncert.errors import (
+    AlreadyServed,
     BadSignature,
     DegenerateResult,
     DuplicateRequest,
     EnvelopeFailure,
     Ineligible,
     KeyMismatch,
+    MalformedEncoding,
     NotFinalized,
     ProtocolStateError,
     UnknownCurve,
@@ -210,6 +213,27 @@ class TestRaProcessing:
         with pytest.raises(UnknownCurve):
             ra_process_request(setup.ra, wire, "voter-0")
 
+    def test_serial_pending_refused(self, drng):
+        setup = Setup()
+        first, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                     setup.ca_keys.public, {}, drng)
+        second, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                      setup.ca_keys.public, {}, drng)
+        assert encode(first) != encode(second)
+        _, ra = ra_process_request(setup.ra, first, "voter-0")
+        with pytest.raises(AlreadyServed):
+            ra_process_request(ra, second, "voter-0")
+
+    def test_serial_served_refused(self, drng):
+        # one eligible identity, one anonymous credential
+        setup = Setup()
+        setup.run_flow()
+        assert not setup.ra.pending
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        with pytest.raises(AlreadyServed):
+            ra_process_request(setup.ra, req, "voter-0")
+
     def test_pending_entry_stored(self, drng):
         from anoncert.envelope import digest
         setup = Setup()
@@ -229,6 +253,31 @@ class TestCaProcessing:
                                                    "extra": "field"})
         with pytest.raises(BadSignature):
             ca_process_request(setup.ca, forged, VALIDITY, drng)
+
+    @pytest.mark.parametrize("hash_hex", ["zz", "AB" * 31, "AB" * 33],
+                             ids=["not-hex", "31-bytes", "33-bytes"])
+    def test_malformed_request_hash(self, drng, hash_hex):
+        # a request hash the RA signed but that is no 32-byte hex value
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        forged = signed(ForwardedRequest, setup.ra_keys.private, setup.params,
+                        curve_id=fwd.curve_id,
+                        temporary_public_key=fwd.temporary_public_key,
+                        s_ct=fwd.s_ct,
+                        details={**fwd.details, REQUEST_HASH_KEY: hash_hex})
+        with pytest.raises(MalformedEncoding):
+            ca_process_request(setup.ca, forged, VALIDITY, drng)
+
+    def test_replayed_request_refused(self, drng):
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        _, ca = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        with pytest.raises(DuplicateRequest):
+            ca_process_request(ca, fwd, VALIDITY, drng)
 
     def test_z_only_opens_under_s(self, drng):
         from anoncert.envelope import sym_decrypt

@@ -6,6 +6,7 @@ from anoncert.curve import (
     BRAINPOOL_P256R1,
     CURVES,
     Point,
+    SECP256R1,
     Scalar,
     TOY,
     expand_private,
@@ -17,6 +18,7 @@ from anoncert.curve import (
     point_neg,
     scalar_add_mod_n,
     scalar_mul,
+    _ladder,
 )
 from anoncert.errors import (
     BlindingOutOfRange,
@@ -100,6 +102,25 @@ class TestScalarMul:
                        int.from_bytes(drng.read(32), "big") % named_curve.n)
             assert is_on_curve(scalar_mul(k, named_curve.g, named_curve),
                                named_curve)
+
+
+class TestNativeFixedBase:
+    def test_matches_ladder(self, named_curve, edge_scalars):
+        # on a named curve k*G runs in OpenSSL; the ladder is the reference
+        params = named_curve
+        for k in edge_scalars(params.n):
+            native = scalar_mul(Scalar(params.curve_id, k), params.g, params)
+            assert native == _ladder(k % params.n, params.g, params), hex(k)
+
+    def test_operand_checks_come_first(self, brainpool, secp):
+        with pytest.raises(CurveMismatch):
+            scalar_mul(Scalar(SECP256R1, 3), brainpool.g, brainpool)
+        with pytest.raises(CurveMismatch):
+            scalar_mul(Scalar(BRAINPOOL_P256R1, 3), secp.g, brainpool)
+        with pytest.raises(NotOnCurve):
+            scalar_mul(Scalar(BRAINPOOL_P256R1, 3),
+                       Point(BRAINPOOL_P256R1, brainpool.gx, brainpool.gy + 1),
+                       brainpool)
 
 
 class TestScalarAdd:

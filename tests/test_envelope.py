@@ -1,7 +1,17 @@
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from anoncert.curve import SECP256R1, Scalar, generate_keypair, scalar_mul
+from anoncert.curve import (
+    SECP256R1,
+    Point,
+    Scalar,
+    _ladder,
+    generate_keypair,
+    scalar_mul,
+)
 from anoncert.envelope import (
+    ECIES_CONTEXT,
     EciesCiphertext,
     Signature,
     SymmetricCiphertext,
@@ -13,8 +23,14 @@ from anoncert.envelope import (
     sym_decrypt,
     sym_encrypt,
     verify,
+    _ecdh_key,
 )
-from anoncert.errors import AuthenticationFailure, InvalidRecipientKey, UnknownCurve
+from anoncert.errors import (
+    AuthenticationFailure,
+    InvalidEphemeralKey,
+    InvalidRecipientKey,
+    UnknownCurve,
+)
 from anoncert.rng import DeterministicRng
 
 R_RA_HEX = "F407A78C2CFC8586AC1BA3199F7CBEF34F138894586B5992B61BB8B5A99C5EE7"
@@ -83,6 +99,49 @@ class TestEcies:
                                                  brainpool.curve_id)
             with pytest.raises(AnoncertError):
                 ecies_decrypt(pair.private, mangled, brainpool)
+
+
+class TestEcdh:
+    def test_matches_ladder(self, named_curve, drng, edge_scalars):
+        # OpenSSL's shared x must equal the x of the ladder's k*Q, so the
+        # derived keys, and the wire bytes, do not depend on the backend
+        params = named_curve
+        peer = generate_keypair(params, drng).public
+        for k in edge_scalars(params.n, count=30):
+            scalar = Scalar(params.curve_id, k)
+            if k % params.n == 0:
+                with pytest.raises(InvalidEphemeralKey):
+                    _ecdh_key(scalar, peer, params, InvalidRecipientKey)
+                continue
+            shared = _ladder(k % params.n, peer, params)
+            hkdf = HKDF(hashes.SHA256(), 32, salt=None, info=ECIES_CONTEXT)
+            want = hkdf.derive(shared.x.to_bytes(32, "big"))
+            assert _ecdh_key(scalar, peer, params, InvalidRecipientKey) == want
+
+    @pytest.mark.parametrize("error", [InvalidRecipientKey, InvalidEphemeralKey])
+    def test_off_curve_peer_is_typed(self, named_curve, error):
+        # bypasses the callers' own on-curve check: OpenSSL's ValueError
+        # for the peer point must come out as the caller's typed error
+        off_curve = Point(named_curve.curve_id, 1, 2)
+        with pytest.raises(error) as info:
+            _ecdh_key(Scalar(named_curve.curve_id, 5), off_curve, named_curve,
+                      error)
+        assert not isinstance(info.value, ValueError)
+
+    def test_unreduced_ephemeral_rejected(self, brainpool, drng):
+        # OpenSSL reduces coordinates mod p; the wire form must be canonical
+        pair = generate_keypair(brainpool, drng)
+        ct = ecies_encrypt(pair.public, b"x", brainpool, drng)
+        eph = ct.ephemeral_public
+        while eph.x + brainpool.p >= 2 ** 256:
+            ct = ecies_encrypt(pair.public, b"x", brainpool, drng)
+            eph = ct.ephemeral_public
+        unreduced = Point(brainpool.curve_id, eph.x + brainpool.p, eph.y)
+        wire = unreduced.to_bytes() + ct.to_bytes()[64:]
+        with pytest.raises(InvalidEphemeralKey):
+            ecies_decrypt(pair.private,
+                          EciesCiphertext.from_bytes(wire, brainpool.curve_id),
+                          brainpool)
 
 
 class TestSymmetric:

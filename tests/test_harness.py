@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from anoncert import curve, envelope
 from anoncert.cli import main
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY
 from anoncert.errors import UnknownCurve
@@ -52,6 +54,28 @@ class TestScenario:
 
     def test_presets_cover_both_curves(self):
         assert set(PRESETS.values()) == {BRAINPOOL_P256R1, SECP256R1}
+
+
+@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
+def test_ladder_sees_only_verification_scalars(monkeypatch, curve_id):
+    # On the named curves every k*G and every ECDH runs in OpenSSL; the
+    # Python ladder only computes u2*Q of the six verifications per voter,
+    # so no private key, blinding scalar or ECDH secret goes through it.
+    ladder = curve._ladder
+    in_verify = []
+
+    def spy(k_val, P, params):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not envelope.verify.__code__:
+            frame = frame.f_back
+        in_verify.append(frame is not None)
+        return ladder(k_val, P, params)
+
+    monkeypatch.setattr(curve, "_ladder", spy)
+    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
+    assert report.successes == 5
+    assert len(in_verify) == 6 * 5
+    assert all(in_verify)
 
 
 class TestVectors:
