@@ -35,15 +35,14 @@ from .certs import (
     CertificateResponse,
     ForwardedRequest,
     KIND_ANONYMOUS,
-    ballot_tbs_bytes,
-    decode,
+    Z_PAYLOAD,
     encode,
-    forwarded_tbs_bytes,
     issue_certificate,
-    request_tbs_bytes,
-    response_tbs_bytes,
+    pack,
     sanitize_details,
     signed,
+    tbs_bytes,
+    unpack,
     verify_certificate,
 )
 from .envelope import (
@@ -166,7 +165,7 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
 def ra_process_request(state: RaState, req: CertificateRequest,
                        ee_id: str) -> tuple[ForwardedRequest, RaState]:
     params = get_curve(req.preexisting_cert.curve_id)
-    if not verify(req.preexisting_cert.public_key, request_tbs_bytes(req),
+    if not verify(req.preexisting_cert.public_key, tbs_bytes(req),
                   req.signature, params):
         raise BadSignature("request signature does not verify under the "
                            "embedded certificate key")
@@ -206,7 +205,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
                        validity: tuple[int, int],
                        rng: RandomSource) -> tuple[CertificateResponse, CaState]:
     params = get_curve(fwd.curve_id)
-    if not verify(state.trusted_ra_public, forwarded_tbs_bytes(fwd),
+    if not verify(state.trusted_ra_public, tbs_bytes(fwd),
                   fwd.signature, params):
         raise BadSignature("forwarded request not signed by the trusted RA")
     hash_hex = fwd.details.get(REQUEST_HASH_KEY)
@@ -240,8 +239,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     if len(key_bytes) != 32:
         raise EnvelopeFailure("AES key plaintext is not 32 bytes")
     aes_key = SymmetricKey(key_bytes)
-    cert_bytes = encode(anon_cert)
-    payload = len(cert_bytes).to_bytes(4, "big") + cert_bytes + r_ca.to_bytes()
+    payload = pack(Z_PAYLOAD, (anon_cert, r_ca.to_bytes()))
     # AAD binds the response envelope to its request hash so z cannot be
     # spliced onto another request.
     z_ct = sym_encrypt(aes_key, payload, request_hash, rng)
@@ -269,25 +267,18 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
     params = get_curve(state.curve_id)
-    if not verify(ca_public, response_tbs_bytes(resp), resp.signature, params):
+    if not verify(ca_public, tbs_bytes(resp), resp.signature, params):
         raise BadSignature("response not signed by the CA")
     try:
         payload = sym_decrypt(state.secrets.aes_key, resp.z_ct,
                               resp.request_hash)
     except AuthenticationFailure as exc:
         raise EnvelopeFailure(f"could not open z envelope: {exc}") from exc
-    if len(payload) < 4 + 32:
-        raise EnvelopeFailure("z payload too short")
-    cert_len = int.from_bytes(payload[:4], "big")
-    if len(payload) != 4 + cert_len + 32:
-        raise EnvelopeFailure("z payload length inconsistent")
     try:
-        anon_cert = decode(payload[4:4 + cert_len])
-    except AnoncertError as exc:
-        raise EnvelopeFailure(f"bad certificate in z: {exc}") from exc
-    if not isinstance(anon_cert, Certificate):
-        raise EnvelopeFailure("z payload is not a certificate")
-    r_ca = Scalar.from_bytes(payload[4 + cert_len:], params.curve_id)
+        anon_cert, r_ca_bytes = unpack(Z_PAYLOAD, payload)
+    except MalformedEncoding as exc:
+        raise EnvelopeFailure(f"bad z payload: {exc}") from exc
+    r_ca = Scalar.from_bytes(r_ca_bytes, params.curve_id)
     temp_private = expand_private(state.original.private, state.secrets.r_ra,
                                   params)
     formal_private = expand_private(temp_private, r_ca, params)
@@ -316,5 +307,5 @@ def verify_ballot(ballot: Ballot, ca_public: Point, now: int) -> bool:
         return False
     if not verify_certificate(ballot.anon_cert, ca_public, now, params):
         return False
-    return verify(ballot.anon_cert.public_key, ballot_tbs_bytes(ballot),
+    return verify(ballot.anon_cert.public_key, tbs_bytes(ballot),
                   ballot.signature, params)

@@ -2,9 +2,13 @@
 
 Full ASN.1/DER X.509 is deliberately not modeled; certificates are a
 minimal canonical binary record with the semantic fields the protocol
-needs. Layout: 2-byte type tag, fields in fixed order, variable-length
-fields carry 4-byte big-endian length prefixes, string maps are sorted
-lexicographically by key. Hashing and signing always operate on these
+needs. `LAYOUT` is the wire specification: for each message it gives the
+2-byte type tag, the fields in wire order with their kinds, and the
+trailing signature field. Variable-length fields carry 4-byte big-endian
+length prefixes and string maps are sorted by key. One writer and one
+reader are driven by the table, and decoding is canonical: `decode`
+refuses every input `b` for which `encode(decode(b)) != b` with
+`MalformedEncoding`. Hashing and signing always operate on these
 canonical bytes; the JSON dump is diagnostic only.
 """
 
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .curve import CurveParams, Point, Scalar, is_on_curve
 from .envelope import EciesCiphertext, Signature, SymmetricCiphertext, sign, verify
@@ -21,12 +25,7 @@ from .rng import RandomSource
 
 KIND_PREEXISTING = "preexisting"
 KIND_ANONYMOUS = "anonymous"
-
-TAG_CERTIFICATE = 0x0001
-TAG_REQUEST = 0x0002
-TAG_FORWARDED = 0x0003
-TAG_RESPONSE = 0x0004
-TAG_BALLOT = 0x0005
+_CERT_KINDS = (KIND_PREEXISTING, KIND_ANONYMOUS)  # wire codes 0 and 1
 
 DEFAULT_DETAIL_ALLOWLIST = frozenset({"purpose", "election_id", "curve_id"})
 
@@ -77,234 +76,204 @@ class Ballot:
     signature: Signature
 
 
-class _Writer:
-    def __init__(self):
-        self.parts = []
-
-    def fixed(self, data: bytes):
-        self.parts.append(data)
-
-    def u16(self, value: int):
-        self.parts.append(value.to_bytes(2, "big"))
-
-    def u64(self, value: int):
-        self.parts.append(value.to_bytes(8, "big"))
-
-    def var(self, data: bytes):
-        self.parts.append(len(data).to_bytes(4, "big"))
-        self.parts.append(data)
-
-    def string(self, text: str):
-        self.var(text.encode("utf-8"))
-
-    def str_map(self, mapping: Mapping[str, str]):
-        items = sorted(mapping.items())
-        self.u64(len(items))
-        for key, value in items:
-            self.string(key)
-            self.string(value)
-
-    def bytes(self) -> bytes:
-        return b"".join(self.parts)
-
-
 class _Reader:
+    """Reads fields from `data`. `curve_id` is the curve of the message
+    being read, set by its curve_id field or by its nested certificate;
+    the points, ciphertexts and signatures after it are tagged with it."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.curve_id = None
 
-    def fixed(self, size: int, field: str) -> bytes:
-        if self.pos + size > len(self.data):
+    def take(self, size: int, field: str) -> bytes:
+        start, self.pos = self.pos, self.pos + size
+        if self.pos > len(self.data):
             raise MalformedEncoding(f"truncated while reading {field}")
-        out = self.data[self.pos:self.pos + size]
-        self.pos += size
-        return out
-
-    def u16(self, field: str) -> int:
-        return int.from_bytes(self.fixed(2, field), "big")
+        return self.data[start:self.pos]
 
     def u64(self, field: str) -> int:
-        return int.from_bytes(self.fixed(8, field), "big")
+        return int.from_bytes(self.take(8, field), "big")
 
     def var(self, field: str) -> bytes:
-        size = int.from_bytes(self.fixed(4, field), "big")
-        return self.fixed(size, field)
+        return self.take(int.from_bytes(self.take(4, field), "big"), field)
 
-    def string(self, field: str) -> str:
+    def text(self, field: str) -> str:
         try:
             return self.var(field).decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedEncoding(f"invalid utf-8 in {field}") from None
 
+    def curve(self, field: str) -> str:
+        self.curve_id = self.text(field)
+        return self.curve_id
+
+    def cert_kind(self, field: str) -> str:
+        code = self.take(1, field)[0]
+        if code >= len(_CERT_KINDS):
+            raise MalformedEncoding(f"unknown kind code {code}")
+        return _CERT_KINDS[code]
+
+    def ciphertext(self, field: str, parse: Callable, *args):
+        try:
+            return parse(self.var(field), *args)
+        except ValueError as exc:
+            raise MalformedEncoding(f"{field}: {exc}") from None
+
     def str_map(self, field: str) -> dict:
-        count = self.u64(field)
-        out = {}
-        for _ in range(count):
-            key = self.string(f"{field}.key")
-            out[key] = self.string(f"{field}.value")
+        out, last = {}, None
+        for _ in range(self.u64(field)):
+            key = self.text(f"{field}.key")
+            if last is not None and key <= last:
+                raise MalformedEncoding(f"{field} keys not sorted and unique")
+            out[key] = self.text(f"{field}.value")
+            last = key
         return out
+
+    def certificate(self, field: str) -> Certificate:
+        """A nested record: it must be a certificate, which nests nothing."""
+        sub = _Reader(self.var(field))
+        cert = sub.message(field, Certificate)
+        sub.done()
+        self.curve_id = cert.curve_id
+        return cert
+
+    def message(self, field: str, only: type = None):
+        """A tagged message; with `only`, a message of that class alone."""
+        tag = int.from_bytes(self.take(2, f"{field} type tag"), "big")
+        cls = _BY_TAG.get(tag)
+        if cls is None or only not in (None, cls):
+            raise MalformedEncoding(f"{field} has unexpected type tag 0x{tag:04X}")
+        layout = LAYOUT[cls]
+        return cls(*[kind.read(self, name) for name, kind in
+                     layout.fields + ((layout.signature, SIGNATURE),)])
 
     def done(self):
         if self.pos != len(self.data):
-            raise MalformedEncoding(
-                f"{len(self.data) - self.pos} trailing bytes after message"
-            )
+            raise MalformedEncoding(f"{len(self.data) - self.pos} trailing bytes")
 
 
-def _kind_code(kind: str) -> int:
-    if kind == KIND_PREEXISTING:
-        return 0
-    if kind == KIND_ANONYMOUS:
-        return 1
-    raise MalformedEncoding(f"unknown certificate kind {kind!r}")
+def _var(data: bytes) -> bytes:
+    return len(data).to_bytes(4, "big") + data
 
 
-def _write_cert_tbs(w: _Writer, cert: Certificate):
-    w.fixed(cert.serial)
-    w.string(cert.subject)
-    w.string(cert.issuer)
-    w.string(cert.curve_id)
-    w.fixed(cert.public_key.to_bytes())
-    w.u64(cert.not_before)
-    w.u64(cert.not_after)
-    w.fixed(bytes([_kind_code(cert.kind)]))
+def _text(text: str) -> bytes:
+    return _var(text.encode("utf-8"))
 
 
-def cert_tbs_bytes(cert: Certificate) -> bytes:
-    w = _Writer()
-    w.u16(TAG_CERTIFICATE)
-    _write_cert_tbs(w, cert)
-    return w.bytes()
+def _write_cert_kind(kind: str) -> bytes:
+    if kind not in _CERT_KINDS:
+        raise MalformedEncoding(f"unknown certificate kind {kind!r}")
+    return bytes([_CERT_KINDS.index(kind)])
 
 
-def _read_cert(r: _Reader) -> Certificate:
-    serial = r.fixed(16, "serial")
-    subject = r.string("subject")
-    issuer = r.string("issuer")
-    curve_id = r.string("curve_id")
-    public_key = Point.from_bytes(r.fixed(64, "public_key"), curve_id)
-    not_before = r.u64("not_before")
-    not_after = r.u64("not_after")
-    kind_code = r.fixed(1, "kind")[0]
-    if kind_code > 1:
-        raise MalformedEncoding(f"unknown kind code {kind_code}")
-    kind = KIND_ANONYMOUS if kind_code else KIND_PREEXISTING
-    sig = Signature.from_bytes(r.fixed(64, "issuer_signature"), curve_id)
-    return Certificate(serial, subject, issuer, curve_id, public_key,
-                       not_before, not_after, kind, sig)
+def _write_str_map(mapping: Mapping[str, str]) -> bytes:
+    items = sorted(mapping.items())
+    return len(items).to_bytes(8, "big") + b"".join(
+        _text(key) + _text(value) for key, value in items)
 
 
-def request_tbs_bytes(req: CertificateRequest) -> bytes:
-    w = _Writer()
-    w.u16(TAG_REQUEST)
-    w.var(encode(req.preexisting_cert))
-    w.var(req.r_ra_ct.to_bytes())
-    w.var(req.s_ct.to_bytes())
-    w.str_map(req.details)
-    return w.bytes()
+class FieldKind(NamedTuple):
+    write: Callable  # value -> bytes
+    read: Callable   # (_Reader, field name) -> value
 
 
-def forwarded_tbs_bytes(fwd: ForwardedRequest) -> bytes:
-    w = _Writer()
-    w.u16(TAG_FORWARDED)
-    w.string(fwd.curve_id)
-    w.fixed(fwd.temporary_public_key.to_bytes())
-    w.var(fwd.s_ct.to_bytes())
-    w.str_map(fwd.details)
-    return w.bytes()
+SERIAL = FieldKind(bytes, lambda r, f: r.take(16, f))
+TEXT = FieldKind(_text, _Reader.text)
+CURVE_ID = FieldKind(_text, _Reader.curve)  # text that sets the message's curve
+U64 = FieldKind(lambda v: v.to_bytes(8, "big"), _Reader.u64)
+POINT = FieldKind(Point.to_bytes,
+                  lambda r, f: Point.from_bytes(r.take(64, f), r.curve_id))
+CERT_KIND = FieldKind(_write_cert_kind, _Reader.cert_kind)
+BLOB = FieldKind(_var, _Reader.var)
+NESTED_CERT = FieldKind(lambda cert: _var(encode(cert)), _Reader.certificate)
+ECIES = FieldKind(lambda ct: _var(ct.to_bytes()), lambda r, f: r.ciphertext(
+    f, EciesCiphertext.from_bytes, r.curve_id))
+SYMMETRIC = FieldKind(lambda ct: _var(ct.to_bytes()), lambda r, f: r.ciphertext(
+    f, SymmetricCiphertext.from_bytes))
+STR_MAP = FieldKind(_write_str_map, _Reader.str_map)
+HASH = FieldKind(bytes, lambda r, f: r.take(32, f))
+SIGNATURE = FieldKind(Signature.to_bytes,
+                      lambda r, f: Signature.from_bytes(r.take(64, f), r.curve_id))
 
 
-def response_tbs_bytes(resp: CertificateResponse) -> bytes:
-    w = _Writer()
-    w.u16(TAG_RESPONSE)
-    w.string(resp.curve_id)
-    w.var(resp.z_ct.to_bytes())
-    w.fixed(resp.request_hash)
-    return w.bytes()
+class Layout(NamedTuple):
+    tag: int
+    signature: str  # the trailing 64-byte signature field, not covered by it
+    fields: tuple   # (name, FieldKind) in wire order
 
 
-def ballot_tbs_bytes(ballot: Ballot) -> bytes:
-    w = _Writer()
-    w.u16(TAG_BALLOT)
-    w.var(ballot.payload)
-    w.var(encode(ballot.anon_cert))
-    return w.bytes()
+LAYOUT = {
+    Certificate: Layout(0x0001, "issuer_signature", (
+        ("serial", SERIAL), ("subject", TEXT), ("issuer", TEXT),
+        ("curve_id", CURVE_ID), ("public_key", POINT),
+        ("not_before", U64), ("not_after", U64), ("kind", CERT_KIND))),
+    CertificateRequest: Layout(0x0002, "signature", (
+        ("preexisting_cert", NESTED_CERT), ("r_ra_ct", ECIES),
+        ("s_ct", ECIES), ("details", STR_MAP))),
+    ForwardedRequest: Layout(0x0003, "signature", (
+        ("curve_id", CURVE_ID), ("temporary_public_key", POINT),
+        ("s_ct", ECIES), ("details", STR_MAP))),
+    CertificateResponse: Layout(0x0004, "signature", (
+        ("curve_id", CURVE_ID), ("z_ct", SYMMETRIC), ("request_hash", HASH))),
+    Ballot: Layout(0x0005, "signature", (
+        ("payload", BLOB), ("anon_cert", NESTED_CERT))),
+}
+
+# The plaintext of a response's z_ct: the anonymous certificate and the
+# CA's 32-byte blinding scalar r_CA.
+Z_PAYLOAD = (("anon_cert", NESTED_CERT), ("r_ca", HASH))
+
+_BY_TAG = {layout.tag: cls for cls, layout in LAYOUT.items()}
+
+
+def pack(fields, values) -> bytes:
+    """Encode `values` as the (name, FieldKind) `fields`, in order."""
+    return b"".join([kind.write(value)
+                     for (_, kind), value in zip(fields, values)])
+
+
+def unpack(fields, data: bytes) -> list:
+    """Decode `data` as exactly the (name, FieldKind) `fields`."""
+    r = _Reader(data)
+    values = [kind.read(r, name) for name, kind in fields]
+    r.done()
+    return values
 
 
 def tbs_bytes(msg) -> bytes:
     """The bytes a message's signature covers: its encoding without the
     trailing signature."""
-    if isinstance(msg, Certificate):
-        return cert_tbs_bytes(msg)
-    if isinstance(msg, CertificateRequest):
-        return request_tbs_bytes(msg)
-    if isinstance(msg, ForwardedRequest):
-        return forwarded_tbs_bytes(msg)
-    if isinstance(msg, CertificateResponse):
-        return response_tbs_bytes(msg)
-    if isinstance(msg, Ballot):
-        return ballot_tbs_bytes(msg)
-    raise TypeError(f"cannot encode {type(msg).__name__}")
+    layout = LAYOUT.get(type(msg))
+    if layout is None:
+        raise TypeError(f"cannot encode {type(msg).__name__}")
+    return layout.tag.to_bytes(2, "big") + pack(
+        layout.fields, [getattr(msg, name) for name, _ in layout.fields])
 
 
-def _signature_field(cls) -> str:
-    return "issuer_signature" if cls is Certificate else "signature"
+# Per-type names for the same bytes, for callers that name the message type.
+cert_tbs_bytes = request_tbs_bytes = forwarded_tbs_bytes = tbs_bytes
+response_tbs_bytes = ballot_tbs_bytes = tbs_bytes
 
 
 def encode(msg) -> bytes:
-    tbs = tbs_bytes(msg)
-    return tbs + getattr(msg, _signature_field(type(msg))).to_bytes()
+    return tbs_bytes(msg) + SIGNATURE.write(getattr(msg, LAYOUT[type(msg)].signature))
+
+
+def decode(data: bytes):
+    r = _Reader(data)
+    msg = r.message("message")
+    r.done()
+    return msg
 
 
 def signed(cls, signer_private: Scalar, params: CurveParams, **fields):
     """Build a `cls` message from `fields` and sign its tbs_bytes with
     `signer_private`; the signature field is the one `fields` leaves out."""
-    name = _signature_field(cls)
+    name = LAYOUT[cls].signature
     unsigned = cls(**fields, **{name: None})
     return replace(unsigned, **{name: sign(signer_private, tbs_bytes(unsigned),
                                            params)})
-
-
-def decode(data: bytes):
-    r = _Reader(data)
-    tag = r.u16("type_tag")
-    if tag == TAG_CERTIFICATE:
-        msg = _read_cert(r)
-    elif tag == TAG_REQUEST:
-        cert_bytes = r.var("preexisting_cert")
-        cert = decode(cert_bytes)
-        if not isinstance(cert, Certificate):
-            raise MalformedEncoding("preexisting_cert is not a certificate")
-        curve_id = cert.curve_id
-        r_ra_ct = EciesCiphertext.from_bytes(r.var("r_ra_ct"), curve_id)
-        s_ct = EciesCiphertext.from_bytes(r.var("s_ct"), curve_id)
-        details = r.str_map("details")
-        sig = Signature.from_bytes(r.fixed(64, "signature"), curve_id)
-        msg = CertificateRequest(cert, r_ra_ct, s_ct, details, sig)
-    elif tag == TAG_FORWARDED:
-        curve_id = r.string("curve_id")
-        temp_pk = Point.from_bytes(r.fixed(64, "temporary_public_key"), curve_id)
-        s_ct = EciesCiphertext.from_bytes(r.var("s_ct"), curve_id)
-        details = r.str_map("details")
-        sig = Signature.from_bytes(r.fixed(64, "signature"), curve_id)
-        msg = ForwardedRequest(curve_id, temp_pk, s_ct, details, sig)
-    elif tag == TAG_RESPONSE:
-        curve_id = r.string("curve_id")
-        z_ct = SymmetricCiphertext.from_bytes(r.var("z_ct"))
-        request_hash = r.fixed(32, "request_hash")
-        sig = Signature.from_bytes(r.fixed(64, "signature"), curve_id)
-        msg = CertificateResponse(curve_id, z_ct, request_hash, sig)
-    elif tag == TAG_BALLOT:
-        payload = r.var("payload")
-        cert = decode(r.var("anon_cert"))
-        if not isinstance(cert, Certificate):
-            raise MalformedEncoding("anon_cert is not a certificate")
-        sig = Signature.from_bytes(r.fixed(64, "signature"), cert.curve_id)
-        msg = Ballot(payload, cert, sig)
-    else:
-        raise MalformedEncoding(f"unknown type tag 0x{tag:04X}")
-    r.done()
-    return msg
 
 
 def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
@@ -336,8 +305,7 @@ def verify_certificate(cert: Certificate, issuer_public: Point, now: int,
         return False
     if not (cert.not_before <= now <= cert.not_after):
         return False
-    return verify(issuer_public, cert_tbs_bytes(cert),
-                  cert.issuer_signature, params)
+    return verify(issuer_public, tbs_bytes(cert), cert.issuer_signature, params)
 
 
 def sanitize_details(details: Mapping[str, str]) -> dict:

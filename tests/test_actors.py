@@ -17,10 +17,14 @@ from anoncert.actors import (
 )
 from anoncert.certs import (
     KIND_PREEXISTING,
+    Z_PAYLOAD,
+    Ballot,
+    CertificateResponse,
     ForwardedRequest,
     decode,
     encode,
     issue_certificate,
+    pack,
     signed,
 )
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Scalar, get_curve, generate_keypair, scalar_mul
@@ -345,6 +349,31 @@ class TestEeFinalization:
                 ee.secrets, aes_key=SymmetricKey(drng.read(32))))
         with pytest.raises(EnvelopeFailure):
             ee_process_response(other_key, resp, setup.ca_keys.public, NOW)
+
+    @pytest.mark.parametrize("mangle", ["truncated", "trailing", "ballot"])
+    def test_malformed_z_payload_is_envelope_failure(self, drng, mangle):
+        # a CA-signed response whose z opens under the EE's key but does
+        # not hold exactly a certificate and a 32-byte r_CA
+        setup = Setup()
+        _, ee = ee_create_request(setup.ee, setup.ra_keys.public,
+                                  setup.ca_keys.public, {}, drng)
+        cert = ee.preexisting_cert
+        payload = pack(Z_PAYLOAD, (cert, drng.read(32)))
+        if mangle == "truncated":
+            payload = payload[:-1]
+        elif mangle == "trailing":
+            payload += b"\x00"
+        else:
+            ballot = encode(Ballot(b"alice", cert, cert.issuer_signature))
+            payload = (len(ballot).to_bytes(4, "big") + ballot
+                       + payload[-32:])
+        request_hash = drng.read(32)
+        z_ct = sym_encrypt(ee.secrets.aes_key, payload, request_hash, drng)
+        resp = signed(CertificateResponse, setup.ca_keys.private, setup.params,
+                      curve_id=setup.params.curve_id, z_ct=z_ct,
+                      request_hash=request_hash)
+        with pytest.raises(EnvelopeFailure, match="z payload"):
+            ee_process_response(ee, resp, setup.ca_keys.public, NOW)
 
     def test_secrets_cleared_after_success(self):
         setup = Setup()

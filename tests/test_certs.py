@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +13,26 @@ from anoncert.certs import (
     ForwardedRequest,
     KIND_ANONYMOUS,
     KIND_PREEXISTING,
+    LAYOUT,
+    Z_PAYLOAD,
     cert_tbs_bytes,
     decode,
     encode,
     issue_certificate,
+    pack,
     request_tbs_bytes,
     sanitize_details,
     to_json,
+    unpack,
     verify_certificate,
 )
-from anoncert.curve import Point, generate_keypair
+from anoncert.curve import (
+    BRAINPOOL_P256R1,
+    SECP256R1,
+    Point,
+    generate_keypair,
+    get_curve,
+)
 from anoncert.envelope import (
     SymmetricKey,
     digest,
@@ -188,6 +199,120 @@ class TestEncoding:
         _, cert = make_cert(brainpool, issuer, drng)
         dump = to_json(cert)
         assert cert.serial.hex().upper() in dump
+
+
+def _var(data):
+    return len(data).to_bytes(4, "big") + data
+
+
+def _tag(cls):
+    return LAYOUT[cls].tag.to_bytes(2, "big")
+
+
+def _text_map(pairs):
+    return len(pairs).to_bytes(8, "big") + b"".join(
+        _var(k.encode()) + _var(v.encode()) for k, v in pairs)
+
+
+class TestDecodingDefects:
+    def test_short_ecies_ciphertext_is_malformed(self, brainpool, issuer, drng):
+        req = make_request(brainpool, issuer, drng)
+        blob = (_tag(CertificateRequest) + _var(encode(req.preexisting_cert))
+                + _var(b"\x00" * 10) + _var(req.s_ct.to_bytes())
+                + _text_map([]) + req.signature.to_bytes())
+        with pytest.raises(MalformedEncoding, match="r_ra_ct"):
+            decode(blob)
+
+    def test_short_symmetric_ciphertext_is_malformed(self, brainpool, drng):
+        ca = generate_keypair(brainpool, drng)
+        blob = (_tag(CertificateResponse) + _var(brainpool.curve_id.encode())
+                + _var(b"\x00" * 5) + digest(b"req")
+                + sign(ca.private, b"x", brainpool).to_bytes())
+        with pytest.raises(MalformedEncoding, match="z_ct"):
+            decode(blob)
+
+    @pytest.mark.parametrize("outer", [Ballot, CertificateRequest])
+    def test_deeply_nested_ballots_are_malformed(self, brainpool, issuer,
+                                                 drng, outer):
+        # a nested field holds a certificate only: ballots wrapped 1,000
+        # deep must be refused without recursing into them
+        req = make_request(brainpool, issuer, drng)
+        sig = req.signature.to_bytes()
+        inner = encode(req.preexisting_cert)
+        for _ in range(1000):
+            inner = _tag(Ballot) + _var(b"alice") + _var(inner) + sig
+        if outer is CertificateRequest:
+            inner = (_tag(CertificateRequest) + _var(inner)
+                     + _var(req.r_ra_ct.to_bytes()) + _var(req.s_ct.to_bytes())
+                     + _text_map([]) + sig)
+        assert len(inner) > 70_000
+        with pytest.raises(MalformedEncoding, match="type tag 0x0005"):
+            decode(inner)
+
+    @pytest.mark.parametrize("pairs", [
+        [("purpose", "vote"), ("election_id", "E1")],
+        [("election_id", "E1"), ("election_id", "E2")],
+    ], ids=["unsorted", "duplicate"])
+    def test_non_canonical_map_is_malformed(self, brainpool, drng, pairs):
+        ra = generate_keypair(brainpool, drng)
+        s_ct = ecies_encrypt(ra.public, drng.read(32), brainpool, drng)
+        blob = (_tag(ForwardedRequest) + _var(brainpool.curve_id.encode())
+                + ra.public.to_bytes() + _var(s_ct.to_bytes())
+                + _text_map(pairs) + sign(ra.private, b"x", brainpool).to_bytes())
+        with pytest.raises(MalformedEncoding, match="details"):
+            decode(blob)
+
+
+@functools.lru_cache(maxsize=None)
+def _wire_samples(curve_id):
+    """One encoding of every message type, and of a z payload, on a curve."""
+    params, rng = get_curve(curve_id), DeterministicRng(curve_id.encode())
+    issuer = generate_keypair(params, rng)
+    holder, cert = make_cert(params, issuer, rng)
+    req = make_request(params, issuer, rng,
+                       details={"purpose": "vote", "election_id": "E1"})
+    fwd = ForwardedRequest(curve_id, holder.public, req.s_ct,
+                           {"election_id": "E1"}, req.signature)
+    z = sym_encrypt(SymmetricKey(rng.read(32)), b"cert||r_ca", b"", rng)
+    resp = CertificateResponse(curve_id, z, digest(b"req"), req.signature)
+    ballot = Ballot(b"alice", cert, req.signature)
+    samples = {type(m).__name__: encode(m)
+               for m in (cert, req, fwd, resp, ballot)}
+    samples["z_payload"] = pack(Z_PAYLOAD, (cert, rng.read(32)))
+    return samples
+
+
+@st.composite
+def _mutated_wire(draw):
+    curve_id = draw(st.sampled_from([BRAINPOOL_P256R1, SECP256R1]))
+    samples = _wire_samples(curve_id)
+    name = draw(st.sampled_from(sorted(samples)))
+    blob = samples[name]
+    i = draw(st.integers(0, len(blob) - 1))
+    op = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if op == "truncate":
+        blob = blob[:i]
+    elif op == "flip":
+        blob = blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))]) + blob[i + 1:]
+    else:
+        blob = blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i:]
+    return name, blob
+
+
+@given(_mutated_wire())
+@settings(max_examples=400, deadline=None)
+def test_decoding_is_canonical(case):
+    # every input either fails as MalformedEncoding or is the exact
+    # encoding of what it decodes to
+    name, blob = case
+    try:
+        if name == "z_payload":
+            again = pack(Z_PAYLOAD, unpack(Z_PAYLOAD, blob))
+        else:
+            again = encode(decode(blob))
+    except MalformedEncoding:
+        return
+    assert again == blob
 
 
 class TestSanitize:

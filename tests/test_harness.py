@@ -6,7 +6,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from anoncert import curve, envelope
+from anoncert import curve, envelope, harness
+from anoncert.certs import encode
 from anoncert.cli import main
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY
 from anoncert.errors import UnknownCurve
@@ -173,3 +174,24 @@ class TestTranscriptDump:
         for path in sorted(tmp_path.iterdir()):
             h.update(path.read_bytes())
         assert h.hexdigest() == want
+
+    @pytest.mark.parametrize("curve_id, want", [
+        (SECP256R1,
+         "19e6d5d2166951d68a0c3932f9196ab919b1aa9997522912fcffed8331d6df96"),
+        (BRAINPOOL_P256R1,
+         "b0e0fa1b0d66b0f624618204f84a59e5f03b546aefa665f30f19bfd093bb17b6"),
+    ])
+    def test_seed_77_ballot_golden(self, monkeypatch, curve_id, want):
+        # ballots never reach the transcript, so the wire golden above does
+        # not pin their layout: hash the encodings of the 5 ballots cast
+        cast, sign_ballot = [], harness.sign_ballot
+
+        def spy(state, payload):
+            ballot = sign_ballot(state, payload)
+            cast.append(encode(ballot))
+            return ballot
+
+        monkeypatch.setattr("anoncert.harness.sign_ballot", spy)
+        run_scenario(ScenarioConfig(curve_id, 5, 77))
+        assert len(cast) == 5
+        assert hashlib.sha256(b"".join(cast)).hexdigest() == want
