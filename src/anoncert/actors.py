@@ -9,8 +9,9 @@ matching response is pending, then erases it; the CA never stores the
 original public key, r_RA, or any private expansion scalar; the EE wipes
 its blinding secrets once the anonymous certificate is finalized.
 
-One identity gets one credential: the RA forwards at most one request per
-preexisting-certificate serial, and the CA answers each request hash once.
+One identity gets one credential: the RA forwards only requests whose
+preexisting certificate verifies under the identity root, at most one per
+certificate serial, and the CA answers each request hash once.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .certs import (
     CertificateResponse,
     ForwardedRequest,
     KIND_ANONYMOUS,
+    KIND_PREEXISTING,
     Z_PAYLOAD,
     encode,
     issue_certificate,
@@ -109,6 +111,7 @@ class PendingEntry:
 class RaState:
     keypair: KeyPair
     ca_public: Point
+    identity_root: Point  # issuer key of the preexisting certificates
     eligibility: frozenset  # allowed preexisting-cert serials
     pending: Mapping[bytes, PendingEntry] = field(default_factory=dict)
     claimed_serials: frozenset = frozenset()  # forwarded: pending or served
@@ -162,20 +165,23 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
     return req, new_state
 
 
-def ra_process_request(state: RaState, req: CertificateRequest,
-                       ee_id: str) -> tuple[ForwardedRequest, RaState]:
-    params = get_curve(req.preexisting_cert.curve_id)
-    if not verify(req.preexisting_cert.public_key, tbs_bytes(req),
-                  req.signature, params):
+def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
+                       now: int) -> tuple[ForwardedRequest, RaState]:
+    cert = req.preexisting_cert
+    params = get_curve(cert.curve_id)
+    if not verify(cert.public_key, tbs_bytes(req), req.signature, params):
         raise BadSignature("request signature does not verify under the "
                            "embedded certificate key")
-    if req.preexisting_cert.serial not in state.eligibility:
+    if cert.kind != KIND_PREEXISTING or not verify_certificate(
+            cert, state.identity_root, now, params):
+        raise BadCertificate("preexisting certificate is not a current "
+                             "certificate of the identity root")
+    if cert.serial not in state.eligibility:
         raise Ineligible("certificate serial not on the eligibility list")
     req_hash = digest(encode(req))
     if req_hash in state.pending:
         raise DuplicateRequest("identical request already pending")
-    serial = req.preexisting_cert.serial
-    if serial in state.claimed_serials:
+    if cert.serial in state.claimed_serials:
         raise AlreadyServed("this certificate serial already has a request "
                             "pending or served")
     try:
@@ -189,7 +195,7 @@ def ra_process_request(state: RaState, req: CertificateRequest,
         raise EnvelopeFailure("decrypted r_RA outside [1, n-1]")
     # DegenerateResult propagates: r_RA is EE-chosen, so the RA cannot
     # resample; the EE must retry with a fresh blinding value.
-    temp_public = expand_public(req.preexisting_cert.public_key, r_ra, params)
+    temp_public = expand_public(cert.public_key, r_ra, params)
     details = sanitize_details(req.details)
     details[REQUEST_HASH_KEY] = req_hash.hex().upper()
     fwd = signed(ForwardedRequest, state.keypair.private, params,
@@ -198,7 +204,7 @@ def ra_process_request(state: RaState, req: CertificateRequest,
     pending = dict(state.pending)
     pending[req_hash] = PendingEntry(ee_id, r_ra)
     return fwd, replace(state, pending=pending,
-                        claimed_serials=state.claimed_serials | {serial})
+                        claimed_serials=state.claimed_serials | {cert.serial})
 
 
 def ca_process_request(state: CaState, fwd: ForwardedRequest,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -113,14 +114,7 @@ def oracle(as_json):
     """Run the exhaustive desk-curve oracle suite."""
     report = run_oracle_suite()
     if as_json:
-        click.echo(json.dumps({
-            "group_order": report.group_order,
-            "scalar_table_ok": report.scalar_table_ok,
-            "group_laws_ok": report.group_laws_ok,
-            "homomorphism_ok": report.homomorphism_ok,
-            "uniform_expansion_ok": report.uniform_expansion_ok,
-            "failures": report.failures,
-        }, indent=2))
+        click.echo(json.dumps(asdict(report), indent=2))
     else:
         click.echo(f"group order: {report.group_order}")
         for name in ("scalar_table_ok", "group_laws_ok",

@@ -7,12 +7,12 @@ check the whole group exhaustively against a brute-force oracle.
 Values are immutable; every function is pure. On the named curves, k*G
 (key generation, key expansion, the end entity's k*G == K check and the
 u1*G of ECDSA verification) runs in OpenSSL through `cryptography`, as do
-ECDH and signing in `envelope`. A pure-Python Montgomery ladder computes
+ECDH and signing in `envelope`. A pure-Python double-and-add computes
 every other k*P: all of them on the toy curve, and on the named curves
 only the u2*Q of verification, whose scalar comes from the public
-signature and message. No private key, blinding scalar or ECDH secret on
-a named curve reaches the ladder or the Python point addition, so their
-side-channel behaviour is not relied on.
+signature and message. Its running time depends on the scalar, and no
+private key, blinding scalar or ECDH secret on a named curve reaches it
+or the Python point addition.
 """
 
 from __future__ import annotations
@@ -261,34 +261,31 @@ def _jac_to_affine(P, p: int, curve_id: str) -> Point:
 
 def scalar_mul(k: Scalar, P: Point, params: CurveParams) -> Point:
     """k*P. On a named curve with P = G, OpenSSL computes it; otherwise,
-    on the toy curve or for any other P, the Montgomery ladder does."""
+    on the toy curve or for any other P, `_mul` does."""
     if k.curve_id != params.curve_id:
         raise CurveMismatch(f"{k.curve_id} vs {params.curve_id}")
     _require_operand(P, params)
     k_val = k.value % params.n
     curve = OPENSSL_CURVES.get(params.curve_id)
     if curve is None or P.x != params.gx or P.y != params.gy:
-        return _ladder(k_val, P, params)
+        return _mul(k_val, P, params)
     if k_val == 0:  # OpenSSL refuses a zero private key
         return Point.infinity(params.curve_id)
     public = ec.derive_private_key(k_val, curve).public_key().public_numbers()
     return Point(params.curve_id, public.x, public.y)
 
 
-def _ladder(k_val: int, P: Point, params: CurveParams) -> Point:
-    """k_val*P by a Montgomery ladder with a fixed iteration count, for
-    0 <= k_val < n and an on-curve P."""
+def _mul(k_val: int, P: Point, params: CurveParams) -> Point:
+    """k_val*P by left-to-right double-and-add, for k_val >= 0 and an
+    on-curve P."""
     p, a = params.p, params.a
-    r0 = _JAC_INF
-    r1 = _to_jac(P)
-    for bit_index in reversed(range(params.n.bit_length())):
-        if (k_val >> bit_index) & 1:
-            r0 = _jac_add(r0, r1, p, a)
-            r1 = _jac_double(r1, p, a)
-        else:
-            r1 = _jac_add(r0, r1, p, a)
-            r0 = _jac_double(r0, p, a)
-    return _jac_to_affine(r0, p, params.curve_id)
+    base = _to_jac(P)
+    acc = _JAC_INF
+    for bit in bin(k_val)[2:]:
+        acc = _jac_double(acc, p, a)
+        if bit == "1":
+            acc = _jac_add(acc, base, p, a)
+    return _jac_to_affine(acc, p, params.curve_id)
 
 
 def scalar_add_mod_n(x: Scalar, r: Scalar, params: CurveParams) -> Scalar:

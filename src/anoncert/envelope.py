@@ -7,7 +7,7 @@ Signatures are ECDSA over SHA-256 with deterministic RFC 6979 nonces, so
 repeated signing is reproducible. OpenSSL, through `cryptography`, does
 the ECDH, the ephemeral key's k*G, HKDF, AES-GCM and signing. Verification
 checks the range of r and s in Python, computes u1*G in OpenSSL and the
-public u2*Q on the Python ladder of `curve`.
+public u2*Q with the Python double-and-add of `curve`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .actors import (
     CaState,
@@ -89,26 +89,8 @@ class RunReport:
         return sum(1 for v in self.voters if v.status == "ok")
 
     def to_json(self) -> str:
-        doc = {
-            "config": {
-                "curve_id": self.config.curve_id,
-                "num_voters": self.config.num_voters,
-                "rng_seed": self.config.rng_seed,
-                "candidate_list": list(self.config.candidate_list),
-            },
-            "voters": [
-                {
-                    "ee_id": v.ee_id,
-                    "status": v.status,
-                    "error": v.error,
-                    "candidate": v.candidate,
-                    "invariant_ok": v.invariant_ok,
-                }
-                for v in self.voters
-            ],
-            "tally": dict(sorted(self.tally.items())),
-            "assertions": dict(sorted(self.assertions.items())),
-        }
+        doc = asdict(self)
+        del doc["elapsed_seconds"]  # wall clock stays out of the report
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -151,7 +133,8 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
         voters.append((ee_id, rng,
                        EeState(cfg.curve_id, keys, cert)))
 
-    ra = RaState(ra_keys, ca_keys.public, frozenset(serials))
+    ra = RaState(ra_keys, ca_keys.public, identity_keys.public,
+                 frozenset(serials))
     ca = CaState(ca_keys, ra_keys.public)
 
     ra_forbidden = []  # (label, needle) never allowed in RA transcript
@@ -180,7 +163,7 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             transcript.record("RA", "received", req_bytes, ee_id)
             ca_forbidden.append((f"{ee_id}.r_RA", ee.secrets.r_ra.to_bytes()))
 
-            fwd, ra = ra_process_request(ra, req, ee_id)
+            fwd, ra = ra_process_request(ra, req, ee_id, SIMULATION_TIME)
             fwd_bytes = encode(fwd)
             transcript.record("RA", "sent", fwd_bytes, ee_id)
             transcript.record("CA", "received", fwd_bytes, ee_id)

@@ -55,19 +55,6 @@ class DeterministicRng:
         return out
 
 
-class FixedRng:
-    """Replays a fixed byte string once, then fails. Test fixture."""
-
-    def __init__(self, data: bytes):
-        self._data = data
-
-    def read(self, n: int) -> bytes:
-        if len(self._data) < n:
-            raise RngFailure("fixed rng exhausted")
-        out, self._data = self._data[:n], self._data[n:]
-        return out
-
-
 def random_int_in_range(rng: RandomSource, upper: int) -> int:
     """Uniform integer in [1, upper-1] by rejection sampling."""
     nbytes = (upper.bit_length() + 7) // 8

@@ -58,6 +58,6 @@ def _edge_and_random_scalars(n, count=100, seed=6):
 
 @pytest.fixture
 def edge_scalars():
-    """Scalars for native-vs-ladder tests on a curve of order n: 0, 1,
+    """Scalars for native-vs-`_mul` tests on a curve of order n: 0, 1,
     n - 1, n, n + 1 and 2^256 - 1, then `count` seeded 256-bit values."""
     return _edge_and_random_scalars

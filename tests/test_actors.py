@@ -16,9 +16,11 @@ from anoncert.actors import (
     verify_ballot,
 )
 from anoncert.certs import (
+    KIND_ANONYMOUS,
     KIND_PREEXISTING,
     Z_PAYLOAD,
     Ballot,
+    Certificate,
     CertificateResponse,
     ForwardedRequest,
     decode,
@@ -31,6 +33,7 @@ from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Scalar, get_curve, gener
 from anoncert.envelope import SymmetricKey, sym_encrypt
 from anoncert.errors import (
     AlreadyServed,
+    BadCertificate,
     BadSignature,
     DegenerateResult,
     DuplicateRequest,
@@ -43,7 +46,7 @@ from anoncert.errors import (
     UnknownCurve,
     UnknownRequestHash,
 )
-from anoncert.rng import DeterministicRng, FixedRng
+from anoncert.rng import DeterministicRng
 
 NOW = 1_750_000_000
 VALIDITY = (NOW - 10, NOW + 3600)
@@ -75,23 +78,19 @@ CHAINS = {
 
 
 class Setup:
-    def __init__(self, curve_id=BRAINPOOL_P256R1, seed=1, ee_private=None):
+    def __init__(self, curve_id=BRAINPOOL_P256R1, seed=1, ee_keys_rng=None):
         self.params = get_curve(curve_id)
         rng = DeterministicRng(seed)
         self.ca_keys = generate_keypair(self.params, rng)
         self.ra_keys = generate_keypair(self.params, rng)
         self.identity = generate_keypair(self.params, rng)
-        if ee_private is not None:
-            ee_keys_rng = FixedRng(ee_private.to_bytes(32, "big"))
-        else:
-            ee_keys_rng = rng
-        ee_keys = generate_keypair(self.params, ee_keys_rng)
+        ee_keys = generate_keypair(self.params, ee_keys_rng or rng)
         cert = issue_certificate(self.identity.private, "IdentityRoot",
                                  "voter-0", ee_keys.public, VALIDITY,
                                  KIND_PREEXISTING, self.params, rng)
         self.ee = EeState(curve_id, ee_keys, cert)
         self.ra = RaState(self.ra_keys, self.ca_keys.public,
-                          frozenset({cert.serial}))
+                          self.identity.public, frozenset({cert.serial}))
         self.ca = CaState(self.ca_keys, self.ra_keys.public)
         self.rng = rng
 
@@ -102,7 +101,7 @@ class Setup:
                               "name": "Jane Roe"}
         req, self.ee = ee_create_request(self.ee, self.ra_keys.public,
                                          self.ca_keys.public, details, ee_rng)
-        fwd, self.ra = ra_process_request(self.ra, req, "voter-0")
+        fwd, self.ra = ra_process_request(self.ra, req, "voter-0", NOW)
         resp, self.ca = ca_process_request(self.ca, fwd, VALIDITY, ca_rng)
         ee_id, resp, self.ra = ra_route_response(self.ra, resp)
         self.ee = ee_process_response(self.ee, resp, self.ca_keys.public, NOW)
@@ -113,7 +112,8 @@ class Setup:
 def test_published_chain_end_to_end(curve_id, scripted_rng):
     chain = CHAINS[curve_id]
     params = get_curve(curve_id)
-    setup = Setup(curve_id, ee_private=int(chain["i"], 16))
+    setup = Setup(curve_id, ee_keys_rng=scripted_rng(
+        [bytes.fromhex(chain["i"])]))
     # blinding draws are the first 32-byte reads on each side; the published
     # brainpool r_RA exceeds n and is injected reduced, which leaves the
     # whole chain unchanged
@@ -163,7 +163,7 @@ class TestRaProcessing:
                 r=Scalar(setup.params.curve_id,
                          req.signature.r.value ^ 1)))
         with pytest.raises(BadSignature):
-            ra_process_request(setup.ra, bad, "voter-0")
+            ra_process_request(setup.ra, bad, "voter-0", NOW)
 
     def test_ineligible_serial(self, drng):
         setup = Setup()
@@ -171,21 +171,44 @@ class TestRaProcessing:
                                    setup.ca_keys.public, {}, drng)
         ra = dataclasses.replace(setup.ra, eligibility=frozenset())
         with pytest.raises(Ineligible):
-            ra_process_request(ra, req, "voter-0")
+            ra_process_request(ra, req, "voter-0", NOW)
+
+    @pytest.mark.parametrize("forgery", ["foreign_root", "expired", "anonymous"])
+    def test_preexisting_certificate_checked(self, drng, forgery):
+        # a certificate for the attacker's key that copies an eligible
+        # serial must not take that voter's credential
+        setup = Setup()
+        attacker = generate_keypair(setup.params, drng)
+        root = (generate_keypair(setup.params, drng)
+                if forgery == "foreign_root" else setup.identity)
+        validity = (0, 1) if forgery == "expired" else VALIDITY
+        kind = KIND_ANONYMOUS if forgery == "anonymous" else KIND_PREEXISTING
+        cert = signed(Certificate, root.private, setup.params,
+                      serial=setup.ee.preexisting_cert.serial, subject="",
+                      issuer="IdentityRoot", curve_id=setup.params.curve_id,
+                      public_key=attacker.public, not_before=validity[0],
+                      not_after=validity[1], kind=kind)
+        forged = EeState(setup.params.curve_id, attacker, cert)
+        req, _ = ee_create_request(forged, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        with pytest.raises(BadCertificate):
+            ra_process_request(setup.ra, req, "mallory", NOW)
+        setup.run_flow()
+        assert setup.ee.result is not None
 
     def test_details_sanitized(self, drng):
         setup = Setup()
         req, _ = ee_create_request(
             setup.ee, setup.ra_keys.public, setup.ca_keys.public,
             {"name": "Jane Roe", "election_id": "E1", "phone": "555"}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         assert set(fwd.details) == {"election_id", REQUEST_HASH_KEY}
 
     def test_forward_excludes_original_key_material(self, drng):
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {"name": "x"}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         blob = encode(fwd)
         assert setup.ee.original.public.to_bytes() not in blob
         assert setup.ee.preexisting_cert.serial not in blob
@@ -194,9 +217,9 @@ class TestRaProcessing:
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
-        _, ra = ra_process_request(setup.ra, req, "voter-0")
+        _, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
         with pytest.raises(DuplicateRequest):
-            ra_process_request(ra, req, "voter-0")
+            ra_process_request(ra, req, "voter-0", NOW)
 
     def test_degenerate_blinding_rejected_to_ee(self, scripted_rng):
         setup = Setup()
@@ -206,7 +229,7 @@ class TestRaProcessing:
                                    setup.ca_keys.public, {},
                                    scripted_rng([r_ra.to_bytes(32, "big")]))
         with pytest.raises(DegenerateResult):
-            ra_process_request(setup.ra, req, "voter-0")
+            ra_process_request(setup.ra, req, "voter-0", NOW)
 
     def test_unknown_curve_is_typed(self, drng):
         setup = Setup()
@@ -215,7 +238,7 @@ class TestRaProcessing:
         cert = dataclasses.replace(req.preexisting_cert, curve_id="nope")
         wire = decode(encode(dataclasses.replace(req, preexisting_cert=cert)))
         with pytest.raises(UnknownCurve):
-            ra_process_request(setup.ra, wire, "voter-0")
+            ra_process_request(setup.ra, wire, "voter-0", NOW)
 
     def test_serial_pending_refused(self, drng):
         setup = Setup()
@@ -224,9 +247,9 @@ class TestRaProcessing:
         second, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                       setup.ca_keys.public, {}, drng)
         assert encode(first) != encode(second)
-        _, ra = ra_process_request(setup.ra, first, "voter-0")
+        _, ra = ra_process_request(setup.ra, first, "voter-0", NOW)
         with pytest.raises(AlreadyServed):
-            ra_process_request(ra, second, "voter-0")
+            ra_process_request(ra, second, "voter-0", NOW)
 
     def test_serial_served_refused(self, drng):
         # one eligible identity, one anonymous credential
@@ -236,14 +259,14 @@ class TestRaProcessing:
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
         with pytest.raises(AlreadyServed):
-            ra_process_request(setup.ra, req, "voter-0")
+            ra_process_request(setup.ra, req, "voter-0", NOW)
 
     def test_pending_entry_stored(self, drng):
         from anoncert.envelope import digest
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
-        _, ra = ra_process_request(setup.ra, req, "voter-0")
+        _, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
         assert digest(encode(req)) in ra.pending
 
 
@@ -252,7 +275,7 @@ class TestCaProcessing:
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         forged = dataclasses.replace(fwd, details={**fwd.details,
                                                    "extra": "field"})
         with pytest.raises(BadSignature):
@@ -265,7 +288,7 @@ class TestCaProcessing:
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         forged = signed(ForwardedRequest, setup.ra_keys.private, setup.params,
                         curve_id=fwd.curve_id,
                         temporary_public_key=fwd.temporary_public_key,
@@ -278,7 +301,7 @@ class TestCaProcessing:
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         _, ca = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         with pytest.raises(DuplicateRequest):
             ca_process_request(ca, fwd, VALIDITY, drng)
@@ -289,7 +312,7 @@ class TestCaProcessing:
         setup = Setup()
         req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
                                     setup.ca_keys.public, {}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         opened = sym_decrypt(ee.secrets.aes_key, resp.z_ct, resp.request_hash)
         assert len(opened) > 36
@@ -309,7 +332,7 @@ class TestRouting:
         setup = Setup()
         req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
                                     setup.ca_keys.public, {}, drng)
-        fwd, ra = ra_process_request(setup.ra, req, "voter-0")
+        fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         ee_id, routed, ra = ra_route_response(ra, resp)
         assert ee_id == "voter-0"
@@ -322,7 +345,7 @@ class TestRouting:
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         with pytest.raises(UnknownRequestHash):
             ra_route_response(dataclasses.replace(setup.ra), resp)
@@ -333,7 +356,7 @@ class TestEeFinalization:
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         with pytest.raises(ProtocolStateError):
             ee_process_response(setup.ee, resp, setup.ca_keys.public, NOW)
@@ -342,7 +365,7 @@ class TestEeFinalization:
         setup = Setup()
         req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
                                     setup.ca_keys.public, {}, drng)
-        fwd, _ = ra_process_request(setup.ra, req, "voter-0")
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         other_key = dataclasses.replace(
             ee, secrets=dataclasses.replace(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from anoncert.curve import (
     point_neg,
     scalar_add_mod_n,
     scalar_mul,
-    _ladder,
+    _mul,
 )
 from anoncert.errors import (
     BlindingOutOfRange,
@@ -27,7 +29,7 @@ from anoncert.errors import (
     NotOnCurve,
 )
 from anoncert.oracle import INF, enumerate_group, oracle_mul
-from anoncert.rng import DeterministicRng, FixedRng
+from anoncert.rng import DeterministicRng
 
 # Chain constants shared with the published-vector fixtures; reproduced
 # here so the unit tests do not depend on the verifier module.
@@ -105,12 +107,12 @@ class TestScalarMul:
 
 
 class TestNativeFixedBase:
-    def test_matches_ladder(self, named_curve, edge_scalars):
-        # on a named curve k*G runs in OpenSSL; the ladder is the reference
+    def test_matches_mul(self, named_curve, edge_scalars):
+        # on a named curve k*G runs in OpenSSL; `_mul` is the reference
         params = named_curve
         for k in edge_scalars(params.n):
             native = scalar_mul(Scalar(params.curve_id, k), params.g, params)
-            assert native == _ladder(k % params.n, params.g, params), hex(k)
+            assert native == _mul(k % params.n, params.g, params), hex(k)
 
     def test_operand_checks_come_first(self, brainpool, secp):
         with pytest.raises(CurveMismatch):
@@ -121,6 +123,20 @@ class TestNativeFixedBase:
             scalar_mul(Scalar(BRAINPOOL_P256R1, 3),
                        Point(BRAINPOOL_P256R1, brainpool.gx, brainpool.gy + 1),
                        brainpool)
+
+
+class TestVariableBase:
+    def test_full_point_matches_native(self, named_curve, edge_scalars):
+        # k*(j*G) == (k*j mod n)*G, the right side computed in OpenSSL;
+        # ECDH compares only x, so this is the full-point check of `_mul`
+        params = named_curve
+        rand = random.Random(8)
+        for k in edge_scalars(params.n, count=30):
+            j = Scalar(params.curve_id, rand.randrange(1, params.n))
+            P = scalar_mul(j, params.g, params)
+            want = scalar_mul(Scalar(params.curve_id, k * j.value % params.n),
+                              params.g, params)
+            assert _mul(k, P, params) == want, hex(k)
 
 
 class TestScalarAdd:
@@ -141,8 +157,8 @@ class TestScalarAdd:
 
 
 class TestGenerateKeypair:
-    def test_seeded_reproduces_published_pair(self, brainpool):
-        rng = FixedRng(I_PRIV.to_bytes(32, "big"))
+    def test_seeded_reproduces_published_pair(self, brainpool, scripted_rng):
+        rng = scripted_rng([I_PRIV.to_bytes(32, "big")])
         pair = generate_keypair(brainpool, rng)
         assert pair.private.value == I_PRIV
         assert (pair.public.x, pair.public.y) == I_PUB

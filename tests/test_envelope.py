@@ -6,7 +6,7 @@ from anoncert.curve import (
     SECP256R1,
     Point,
     Scalar,
-    _ladder,
+    _mul,
     generate_keypair,
     scalar_mul,
 )
@@ -102,8 +102,8 @@ class TestEcies:
 
 
 class TestEcdh:
-    def test_matches_ladder(self, named_curve, drng, edge_scalars):
-        # OpenSSL's shared x must equal the x of the ladder's k*Q, so the
+    def test_matches_mul(self, named_curve, drng, edge_scalars):
+        # OpenSSL's shared x must equal the x of `_mul`'s k*Q, so the
         # derived keys, and the wire bytes, do not depend on the backend
         params = named_curve
         peer = generate_keypair(params, drng).public
@@ -113,7 +113,7 @@ class TestEcdh:
                 with pytest.raises(InvalidEphemeralKey):
                     _ecdh_key(scalar, peer, params, InvalidRecipientKey)
                 continue
-            shared = _ladder(k % params.n, peer, params)
+            shared = _mul(k % params.n, peer, params)
             hkdf = HKDF(hashes.SHA256(), 32, salt=None, info=ECIES_CONTEXT)
             want = hkdf.derive(shared.x.to_bytes(32, "big"))
             assert _ecdh_key(scalar, peer, params, InvalidRecipientKey) == want

@@ -58,11 +58,12 @@ class TestScenario:
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
-def test_ladder_sees_only_verification_scalars(monkeypatch, curve_id):
+def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     # On the named curves every k*G and every ECDH runs in OpenSSL; the
-    # Python ladder only computes u2*Q of the six verifications per voter,
-    # so no private key, blinding scalar or ECDH secret goes through it.
-    ladder = curve._ladder
+    # Python `_mul` only computes u2*Q of the seven verifications per
+    # voter, so no private key, blinding scalar or ECDH secret goes
+    # through it.
+    mul = curve._mul
     in_verify = []
 
     def spy(k_val, P, params):
@@ -70,12 +71,12 @@ def test_ladder_sees_only_verification_scalars(monkeypatch, curve_id):
         while frame is not None and frame.f_code is not envelope.verify.__code__:
             frame = frame.f_back
         in_verify.append(frame is not None)
-        return ladder(k_val, P, params)
+        return mul(k_val, P, params)
 
-    monkeypatch.setattr(curve, "_ladder", spy)
+    monkeypatch.setattr(curve, "_mul", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    assert len(in_verify) == 6 * 5
+    assert len(in_verify) == 7 * 5
     assert all(in_verify)
 
 
