@@ -4,20 +4,30 @@ Supports two production curves (brainpoolP256r1, secp256r1) plus a tiny
 order-19 curve (y^2 = x^3 + 2x + 2 mod 17, G = (5,1)) small enough to
 check the whole group exhaustively against a brute-force oracle.
 
-Values are immutable; every function is pure. On the named curves, k*G
-(key generation, key expansion, the end entity's k*G == K check and the
-u1*G of ECDSA verification) runs in OpenSSL through `cryptography`, as do
-ECDH and signing in `envelope`. A pure-Python double-and-add computes
-every other k*P: all of them on the toy curve, and on the named curves
-only the u2*Q of verification, whose scalar comes from the public
-signature and message. Its running time depends on the scalar, and no
-private key, blinding scalar or ECDH secret on a named curve reaches it
-or the Python point addition.
+Values are immutable and every function is pure; what a key costs to set
+up is computed once and cached on the key object, never in a module-level
+table, so it lives and dies with that object.
+
+On the named curves, k*G (key generation, key expansion, the end entity's
+k*G == K check and the u1*G of ECDSA verification) runs in OpenSSL
+through `cryptography`, as do ECDH and signing in `envelope`. Each
+`Scalar` keeps the OpenSSL private key it derives (`Scalar.openssl_key`)
+for as long as the `Scalar` lives, so a long-lived authority key is
+derived once, and dropping the `Scalar` drops the OpenSSL key with it.
+
+Every other k*P is `_mul`, a Lim-Lee comb over a table of 63 multiples
+of P cached on the `Point` (`Point.comb_table`): all k*P on the toy
+curve, and on the named curves only the u2*Q of verification, whose
+scalar comes from the public signature and message. G of a named curve
+never takes the comb. The comb's running time depends on the scalar, and
+no private key, blinding scalar or ECDH secret on a named curve reaches
+it or the Python point addition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -26,6 +36,7 @@ from .errors import (
     BlindingOutOfRange,
     CurveMismatch,
     DegenerateResult,
+    InvalidKey,
     NotOnCurve,
     UnknownCurve,
 )
@@ -36,6 +47,7 @@ SECP256R1 = "secp256r1"
 TOY = "toy"
 
 SCALAR_BYTES = 32
+COMB_TEETH = 6  # a comb table holds the 2**6 - 1 nonzero tooth sums
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,13 @@ class Point:
         return cls(curve_id, int.from_bytes(data[:32], "big"),
                    int.from_bytes(data[32:], "big"))
 
+    @cached_property
+    def comb_table(self) -> tuple:
+        """This point's comb table (`_build_comb`), built by its first
+        `_mul` and kept for the object's lifetime; equal points built
+        separately have separate tables."""
+        return _build_comb(self, get_curve(self.curve_id))
+
 
 @dataclass(frozen=True)
 class Scalar:
@@ -95,6 +114,20 @@ class Scalar:
     @classmethod
     def from_hex(cls, text: str, curve_id: str) -> "Scalar":
         return cls(curve_id, int(text, 16))
+
+    @cached_property
+    def openssl_key(self) -> ec.EllipticCurvePrivateKey:
+        """OpenSSL private key of value mod n on this scalar's named curve,
+        derived on first use and kept for the object's lifetime. Raises
+        `UnknownCurve` on the toy curve and `InvalidKey` when value mod n
+        is 0."""
+        curve = OPENSSL_CURVES.get(self.curve_id)
+        if curve is None:
+            raise UnknownCurve(f"no OpenSSL backend for curve {self.curve_id!r}")
+        k = self.value % get_curve(self.curve_id).n
+        if k == 0:
+            raise InvalidKey("a zero scalar has no private key")
+        return ec.derive_private_key(k, curve)
 
 
 @dataclass(frozen=True)
@@ -260,31 +293,66 @@ def _jac_to_affine(P, p: int, curve_id: str) -> Point:
 
 
 def scalar_mul(k: Scalar, P: Point, params: CurveParams) -> Point:
-    """k*P. On a named curve with P = G, OpenSSL computes it; otherwise,
-    on the toy curve or for any other P, `_mul` does."""
+    """k*P. On a named curve with P = G, OpenSSL computes it with the
+    scalar's cached key; otherwise, on the toy curve or for any other P,
+    `_mul` does."""
     if k.curve_id != params.curve_id:
         raise CurveMismatch(f"{k.curve_id} vs {params.curve_id}")
     _require_operand(P, params)
-    k_val = k.value % params.n
-    curve = OPENSSL_CURVES.get(params.curve_id)
-    if curve is None or P.x != params.gx or P.y != params.gy:
-        return _mul(k_val, P, params)
-    if k_val == 0:  # OpenSSL refuses a zero private key
+    if (params.curve_id not in OPENSSL_CURVES
+            or P.x != params.gx or P.y != params.gy):
+        return _mul(k.value, P, params)
+    if k.value % params.n == 0:  # OpenSSL refuses a zero private key
         return Point.infinity(params.curve_id)
-    public = ec.derive_private_key(k_val, curve).public_key().public_numbers()
+    public = k.openssl_key.public_key().public_numbers()
     return Point(params.curve_id, public.x, public.y)
 
 
-def _mul(k_val: int, P: Point, params: CurveParams) -> Point:
-    """k_val*P by left-to-right double-and-add, for k_val >= 0 and an
-    on-curve P."""
+def _build_comb(P: Point, params: CurveParams) -> tuple:
+    """Lim-Lee comb table of P (Lim and Lee, CRYPTO '94): with the
+    scalar's bits cut into COMB_TEETH rows of d = ceil(bits(n) / teeth),
+    entry i is the sum of 2**(j*d) * P over the set bits j of i, in
+    affine Jacobian form (x, y, 1), or the identity. Returns (d, entries).
+    """
     p, a = params.p, params.a
-    base = _to_jac(P)
+    d = -(-params.n.bit_length() // COMB_TEETH)
+    entries = [_JAC_INF]
+    tooth = _to_jac(P)
+    for j in range(COMB_TEETH):
+        if j:
+            for _ in range(d):
+                tooth = _jac_double(tooth, p, a)
+        entries += [_jac_add(e, tooth, p, a) for e in entries]
+    # one inversion normalises every entry (Montgomery's trick); the
+    # identity, which the toy curve's small order makes reachable, stays
+    prefix, acc = [], 1
+    for _, _, Z in entries:
+        prefix.append(acc)
+        if Z:
+            acc = acc * Z % p
+    inv = pow(acc, -1, p)
+    for i in reversed(range(len(entries))):
+        X, Y, Z = entries[i]
+        if Z:
+            z_inv = inv * prefix[i] % p
+            inv = inv * Z % p
+            z_inv2 = z_inv * z_inv % p
+            entries[i] = (X * z_inv2 % p, Y * z_inv2 * z_inv % p, 1)
+    return d, tuple(entries)
+
+
+def _mul(k_val: int, P: Point, params: CurveParams) -> Point:
+    """k_val*P for k_val >= 0 and an on-curve P: one double and one add
+    per comb column of P's cached table, top column first."""
+    p, a = params.p, params.a
+    d, entries = P.comb_table
+    # column col of the comb reads bits col, col + d, ... of the
+    # COMB_TEETH * d-bit big-endian string, top tooth first
+    bits = format(k_val % params.n, f"0{COMB_TEETH * d}b")
     acc = _JAC_INF
-    for bit in bin(k_val)[2:]:
-        acc = _jac_double(acc, p, a)
-        if bit == "1":
-            acc = _jac_add(acc, base, p, a)
+    for col in range(d):
+        acc = _jac_add(_jac_double(acc, p, a), entries[int(bits[col::d], 2)],
+                       p, a)
     return _jac_to_affine(acc, p, params.curve_id)
 
 

@@ -5,9 +5,15 @@ AES-256-GCM with a zero nonce (every derived key is single-use).
 Symmetric envelopes are AES-256-GCM with a random 12-byte nonce.
 Signatures are ECDSA over SHA-256 with deterministic RFC 6979 nonces, so
 repeated signing is reproducible. OpenSSL, through `cryptography`, does
-the ECDH, the ephemeral key's k*G, HKDF, AES-GCM and signing. Verification
-checks the range of r and s in Python, computes u1*G in OpenSSL and the
-public u2*Q with the Python double-and-add of `curve`.
+the ECDH, the ephemeral key's k*G, HKDF, AES-GCM and signing. ECDH and
+signing use the private `Scalar`'s cached OpenSSL key
+(`Scalar.openssl_key`), so an authority key is derived once however many
+requests it serves, and an ephemeral ECIES key once for its k*G and its
+ECDH; the OpenSSL key is dropped with its `Scalar`. Verification checks
+the range of r and s in Python, computes u1*G in OpenSSL and the public
+u2*Q with the variable-time Python comb of `curve` over the signer
+point's cached table, so repeated checks under one `Point` object (the
+CA, RA and identity-root keys) build that table once.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .errors import (
     AuthenticationFailure,
     CurveMismatch,
     InvalidEphemeralKey,
+    InvalidKey,
     InvalidRecipientKey,
     UnknownCurve,
 )
@@ -113,21 +120,21 @@ def digest(message: bytes) -> bytes:
 
 def _ecdh_key(private: Scalar, peer: Point, params: CurveParams,
               invalid_peer: type[AnoncertError]) -> bytes:
-    """HKDF of the x coordinate of private*peer, computed by OpenSSL.
-    A peer point OpenSSL refuses raises `invalid_peer`."""
+    """HKDF of the x coordinate of private*peer, computed by OpenSSL with
+    the scalar's cached key. A peer point OpenSSL refuses raises
+    `invalid_peer`."""
     curve = OPENSSL_CURVES.get(params.curve_id)
     if curve is None:
         raise UnknownCurve(f"no ECDH backend for curve {params.curve_id!r}")
     if private.curve_id != params.curve_id or peer.curve_id != params.curve_id:
         raise CurveMismatch(f"ECDH operands not on {params.curve_id}")
-    k = private.value % params.n
-    if k == 0 or peer.is_infinity:
+    if private.value % params.n == 0 or peer.is_infinity:
         raise InvalidEphemeralKey("ECDH produced the identity")
     try:
         peer_key = ec.EllipticCurvePublicNumbers(peer.x, peer.y, curve).public_key()
     except ValueError:
         raise invalid_peer(f"peer key is not a point of {params.curve_id}") from None
-    shared_x = ec.derive_private_key(k, curve).exchange(ec.ECDH(), peer_key)
+    shared_x = private.openssl_key.exchange(ec.ECDH(), peer_key)
     hkdf = HKDF(hashes.SHA256(), KEY_LEN, salt=None, info=ECIES_CONTEXT)
     return hkdf.derive(shared_x)
 
@@ -169,11 +176,16 @@ def sym_decrypt(key: SymmetricKey, ct: SymmetricCiphertext, aad: bytes) -> bytes
 
 
 def sign(signer_private: Scalar, message: bytes, params: CurveParams) -> Signature:
-    curve = OPENSSL_CURVES.get(params.curve_id)
-    if curve is None:
+    """ECDSA signature with the scalar's cached OpenSSL key, whose value
+    must be in [1, n-1] on `params`' curve."""
+    if params.curve_id not in OPENSSL_CURVES:
         raise UnknownCurve(f"no signing backend for curve {params.curve_id!r}")
-    key = ec.derive_private_key(signer_private.value, curve)
-    der = key.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+    if signer_private.curve_id != params.curve_id:
+        raise CurveMismatch(f"{signer_private.curve_id} vs {params.curve_id}")
+    if not 1 <= signer_private.value <= params.n - 1:
+        raise InvalidKey("signing key outside [1, n-1]")
+    der = signer_private.openssl_key.sign(
+        message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
     r, s = decode_dss_signature(der)
     return Signature(Scalar(params.curve_id, r), Scalar(params.curve_id, s))
 

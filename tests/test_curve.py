@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoncert import curve
 from anoncert.curve import (
     BRAINPOOL_P256R1,
     CURVES,
@@ -22,13 +24,16 @@ from anoncert.curve import (
     scalar_mul,
     _mul,
 )
+from anoncert.envelope import sign, verify
 from anoncert.errors import (
     BlindingOutOfRange,
     CurveMismatch,
     DegenerateResult,
+    InvalidKey,
     NotOnCurve,
+    UnknownCurve,
 )
-from anoncert.oracle import INF, enumerate_group, oracle_mul
+from anoncert.oracle import INF, _to_point, enumerate_group, oracle_mul
 from anoncert.rng import DeterministicRng
 
 # Chain constants shared with the published-vector fixtures; reproduced
@@ -124,19 +129,82 @@ class TestNativeFixedBase:
                        Point(BRAINPOOL_P256R1, brainpool.gx, brainpool.gy + 1),
                        brainpool)
 
+    def test_openssl_key_needs_named_curve_and_nonzero_value(self, brainpool):
+        with pytest.raises(UnknownCurve):
+            Scalar(TOY, 3).openssl_key
+        for value in (0, brainpool.n):
+            with pytest.raises(InvalidKey):
+                Scalar(BRAINPOOL_P256R1, value).openssl_key
+        wrapped = Scalar(BRAINPOOL_P256R1, brainpool.n + 5).openssl_key
+        assert wrapped.private_numbers().private_value == 5
+
 
 class TestVariableBase:
     def test_full_point_matches_native(self, named_curve, edge_scalars):
         # k*(j*G) == (k*j mod n)*G, the right side computed in OpenSSL;
-        # ECDH compares only x, so this is the full-point check of `_mul`
+        # ECDH compares only x, so this is the full-point check of `_mul`.
+        # Each k runs on a fresh P, whose comb table it builds, and on one
+        # shared P, whose cached table every k after the first walks.
         params = named_curve
         rand = random.Random(8)
+        shared_j = Scalar(params.curve_id, rand.randrange(1, params.n))
+        shared = scalar_mul(shared_j, params.g, params)
         for k in edge_scalars(params.n, count=30):
-            j = Scalar(params.curve_id, rand.randrange(1, params.n))
-            P = scalar_mul(j, params.g, params)
-            want = scalar_mul(Scalar(params.curve_id, k * j.value % params.n),
-                              params.g, params)
-            assert _mul(k, P, params) == want, hex(k)
+            fresh_j = Scalar(params.curve_id, rand.randrange(1, params.n))
+            fresh = scalar_mul(fresh_j, params.g, params)
+            for j, P in ((fresh_j, fresh), (shared_j, shared)):
+                want = scalar_mul(
+                    Scalar(params.curve_id, k * j.value % params.n),
+                    params.g, params)
+                assert _mul(k, P, params) == want, hex(k)
+
+    def test_toy_exhaustive_matches_oracle(self, toy):
+        # every point and every k in [0, 2n): some comb entries of the
+        # order-19 group are the identity (entry 0b010011 sums 1 + 2 + 16
+        # = n times P), which no named curve reaches
+        for P in enumerate_group(toy.p, toy.a, toy.b):
+            point = _to_point(P)
+            for k in range(2 * toy.n):
+                assert _mul(k, point, toy) == _to_point(
+                    oracle_mul(k, P, toy.p, toy.a)), (P, k)
+
+    def test_comb_table_cached_per_object(self, monkeypatch, named_curve):
+        params = named_curve
+        builds = []
+        build = curve._build_comb
+
+        def spy(P, params):
+            builds.append(P)
+            return build(P, params)
+
+        monkeypatch.setattr(curve, "_build_comb", spy)
+        signer = generate_keypair(params, DeterministicRng(5))
+        for i in range(10):
+            msg = b"message %d" % i
+            assert verify(signer.public, msg, sign(signer.private, msg, params),
+                          params)
+        assert len(builds) == 1 and builds[0] is signer.public
+        twin = Point(params.curve_id, signer.public.x, signer.public.y)
+        assert verify(twin, b"message 0", sign(signer.private, b"message 0",
+                                                params), params)
+        assert len(builds) == 2 and builds[1] is twin
+
+    def test_cached_state_is_not_a_field(self, brainpool):
+        # the comb table and the OpenSSL key stay out of eq, hash, replace
+        # and asdict
+        k = Scalar(BRAINPOOL_P256R1, 7)
+        P = scalar_mul(k, brainpool.g, brainpool)
+        _mul(3, P, brainpool)
+        fresh_k = Scalar(BRAINPOOL_P256R1, 7)
+        fresh_P = Point(BRAINPOOL_P256R1, P.x, P.y)
+        assert "openssl_key" in vars(k) and "comb_table" in vars(P)
+        assert (k, hash(k)) == (fresh_k, hash(fresh_k))
+        assert (P, hash(P)) == (fresh_P, hash(fresh_P))
+        assert dataclasses.asdict(k) == {"curve_id": BRAINPOOL_P256R1,
+                                         "value": 7}
+        assert set(dataclasses.asdict(P)) == {"curve_id", "x", "y"}
+        assert "openssl_key" not in vars(dataclasses.replace(k, value=8))
+        assert "comb_table" not in vars(dataclasses.replace(P))
 
 
 class TestScalarAdd:

@@ -3,6 +3,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from anoncert.curve import (
+    BRAINPOOL_P256R1,
     SECP256R1,
     Point,
     Scalar,
@@ -27,7 +28,9 @@ from anoncert.envelope import (
 )
 from anoncert.errors import (
     AuthenticationFailure,
+    CurveMismatch,
     InvalidEphemeralKey,
+    InvalidKey,
     InvalidRecipientKey,
     UnknownCurve,
 )
@@ -231,6 +234,15 @@ class TestSignatures:
     def test_toy_curve_cannot_sign(self, toy):
         with pytest.raises(UnknownCurve):
             sign(Scalar(toy.curve_id, 3), b"msg", toy)
+
+    def test_key_of_another_curve_rejected(self, secp):
+        with pytest.raises(CurveMismatch):
+            sign(Scalar(BRAINPOOL_P256R1, 5), b"m", secp)
+
+    def test_out_of_range_key_is_typed(self, named_curve):
+        for value in (0, named_curve.n, 2 ** 256 - 1):
+            with pytest.raises(InvalidKey):
+                sign(Scalar(named_curve.curve_id, value), b"m", named_curve)
 
 
 class TestDigest:

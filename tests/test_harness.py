@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from anoncert import curve, envelope, harness
 from anoncert.certs import encode
@@ -78,6 +79,26 @@ def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     assert report.successes == 5
     assert len(in_verify) == 7 * 5
     assert all(in_verify)
+
+
+@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
+def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
+    # The CA, RA and identity-root keys are derived once per run. Each
+    # voter then costs 13: the 7 u1*G of its verifications, 2 expansion
+    # r*G, its own key, 2 ECIES ephemeral keys (each ECDH reuses its k*G
+    # derivation) and the k*G == K check. Every signature and decryption
+    # reuses a key derived earlier (118 when each use derived its own).
+    derive = ec.derive_private_key
+    calls = []
+
+    def spy(value, ec_curve):
+        calls.append(value)
+        return derive(value, ec_curve)
+
+    monkeypatch.setattr(ec, "derive_private_key", spy)
+    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
+    assert report.successes == 5
+    assert len(calls) == 3 + 13 * 5
 
 
 class TestVectors:
