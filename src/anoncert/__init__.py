@@ -25,7 +25,7 @@ from .curve import (
     scalar_add_mod_n,
     scalar_mul,
 )
-from .harness import PRESETS, RunReport, ScenarioConfig, run_scenario
+from .harness import RunReport, ScenarioConfig, run_scenario
 from .oracle import run_oracle_suite
 from .vectors import PUBLISHED_VECTORS, verify_published_vectors
 
@@ -34,7 +34,6 @@ __all__ = [
     "CURVES",
     "CurveParams",
     "KeyPair",
-    "PRESETS",
     "PUBLISHED_VECTORS",
     "Point",
     "RunReport",

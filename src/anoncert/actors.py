@@ -70,7 +70,6 @@ from .errors import (
     MalformedEncoding,
     NotFinalized,
     ProtocolStateError,
-    UnknownCurve,
     UnknownRequestHash,
 )
 from .rng import RandomSource
@@ -156,9 +155,9 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
     params = get_curve(state.curve_id)
     r_ra = random_blinding(params, rng)
     aes_key = SymmetricKey(rng.read(32))
-    r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), params, rng)
-    s_ct = ecies_encrypt(ca_public, aes_key.key, params, rng)
-    req = signed(CertificateRequest, state.original.private, params,
+    r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), rng)
+    s_ct = ecies_encrypt(ca_public, aes_key.key, rng)
+    req = signed(CertificateRequest, state.original.private,
                  preexisting_cert=state.preexisting_cert, r_ra_ct=r_ra_ct,
                  s_ct=s_ct, details=dict(details))
     new_state = replace(state, secrets=EeSecrets(r_ra, aes_key))
@@ -169,11 +168,11 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
                        now: int) -> tuple[ForwardedRequest, RaState]:
     cert = req.preexisting_cert
     params = get_curve(cert.curve_id)
-    if not verify(cert.public_key, tbs_bytes(req), req.signature, params):
+    if not verify(cert.public_key, tbs_bytes(req), req.signature):
         raise BadSignature("request signature does not verify under the "
                            "embedded certificate key")
     if cert.kind != KIND_PREEXISTING or not verify_certificate(
-            cert, state.identity_root, now, params):
+            cert, state.identity_root, now):
         raise BadCertificate("preexisting certificate is not a current "
                              "certificate of the identity root")
     if cert.serial not in state.eligibility:
@@ -185,7 +184,7 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
         raise AlreadyServed("this certificate serial already has a request "
                             "pending or served")
     try:
-        plaintext = ecies_decrypt(state.keypair.private, req.r_ra_ct, params)
+        plaintext = ecies_decrypt(state.keypair.private, req.r_ra_ct)
     except AnoncertError as exc:
         raise EnvelopeFailure(f"could not open r_RA envelope: {exc}") from exc
     if len(plaintext) != 32:
@@ -195,10 +194,10 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
         raise EnvelopeFailure("decrypted r_RA outside [1, n-1]")
     # DegenerateResult propagates: r_RA is EE-chosen, so the RA cannot
     # resample; the EE must retry with a fresh blinding value.
-    temp_public = expand_public(cert.public_key, r_ra, params)
+    temp_public = expand_public(cert.public_key, r_ra)
     details = sanitize_details(req.details)
     details[REQUEST_HASH_KEY] = req_hash.hex().upper()
-    fwd = signed(ForwardedRequest, state.keypair.private, params,
+    fwd = signed(ForwardedRequest, state.keypair.private,
                  curve_id=params.curve_id, temporary_public_key=temp_public,
                  s_ct=req.s_ct, details=details)
     pending = dict(state.pending)
@@ -211,8 +210,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
                        validity: tuple[int, int],
                        rng: RandomSource) -> tuple[CertificateResponse, CaState]:
     params = get_curve(fwd.curve_id)
-    if not verify(state.trusted_ra_public, tbs_bytes(fwd),
-                  fwd.signature, params):
+    if not verify(state.trusted_ra_public, tbs_bytes(fwd), fwd.signature):
         raise BadSignature("forwarded request not signed by the trusted RA")
     hash_hex = fwd.details.get(REQUEST_HASH_KEY)
     if hash_hex is None:
@@ -228,7 +226,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     for attempt in range(MAX_BLINDING_RETRIES):
         r_ca = random_blinding(params, rng)
         try:
-            formal_public = expand_public(fwd.temporary_public_key, r_ca, params)
+            formal_public = expand_public(fwd.temporary_public_key, r_ca)
             break
         except DegenerateResult:
             continue
@@ -236,10 +234,10 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
         raise DegenerateResult("blinding kept degenerating; giving up")
     anon_cert = issue_certificate(
         state.keypair.private, state.issuer_name, "", formal_public,
-        validity, KIND_ANONYMOUS, params, rng,
+        validity, KIND_ANONYMOUS, rng,
     )
     try:
-        key_bytes = ecies_decrypt(state.keypair.private, fwd.s_ct, params)
+        key_bytes = ecies_decrypt(state.keypair.private, fwd.s_ct)
     except AnoncertError as exc:
         raise EnvelopeFailure(f"could not open AES-key envelope: {exc}") from exc
     if len(key_bytes) != 32:
@@ -249,7 +247,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     # AAD binds the response envelope to its request hash so z cannot be
     # spliced onto another request.
     z_ct = sym_encrypt(aes_key, payload, request_hash, rng)
-    resp = signed(CertificateResponse, state.keypair.private, params,
+    resp = signed(CertificateResponse, state.keypair.private,
                   curve_id=params.curve_id, z_ct=z_ct,
                   request_hash=request_hash)
     new_state = replace(
@@ -273,7 +271,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
     params = get_curve(state.curve_id)
-    if not verify(ca_public, tbs_bytes(resp), resp.signature, params):
+    if not verify(ca_public, tbs_bytes(resp), resp.signature):
         raise BadSignature("response not signed by the CA")
     try:
         payload = sym_decrypt(state.secrets.aes_key, resp.z_ct,
@@ -285,12 +283,11 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     except MalformedEncoding as exc:
         raise EnvelopeFailure(f"bad z payload: {exc}") from exc
     r_ca = Scalar.from_bytes(r_ca_bytes, params.curve_id)
-    temp_private = expand_private(state.original.private, state.secrets.r_ra,
-                                  params)
-    formal_private = expand_private(temp_private, r_ca, params)
-    if scalar_mul(formal_private, params.g, params) != anon_cert.public_key:
+    temp_private = expand_private(state.original.private, state.secrets.r_ra)
+    formal_private = expand_private(temp_private, r_ca)
+    if scalar_mul(formal_private, params.g) != anon_cert.public_key:
         raise KeyMismatch("formal private key does not match certificate key")
-    if not verify_certificate(anon_cert, ca_public, now, params):
+    if not verify_certificate(anon_cert, ca_public, now):
         raise BadCertificate("anonymous certificate does not verify")
     result = EeResult(anon_cert, temp_private, formal_private)
     return replace(state, secrets=None, result=result)
@@ -299,19 +296,12 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
 def sign_ballot(state: EeState, payload: bytes) -> Ballot:
     if state.result is None:
         raise NotFinalized("EE has no anonymous certificate yet")
-    params = get_curve(state.curve_id)
-    return signed(Ballot, state.result.formal_private, params,
+    return signed(Ballot, state.result.formal_private,
                   payload=payload, anon_cert=state.result.anon_cert)
 
 
 def verify_ballot(ballot: Ballot, ca_public: Point, now: int) -> bool:
-    try:
-        params = get_curve(ballot.anon_cert.curve_id)
-    except UnknownCurve:
-        return False
-    if ballot.anon_cert.kind != KIND_ANONYMOUS:
-        return False
-    if not verify_certificate(ballot.anon_cert, ca_public, now, params):
-        return False
-    return verify(ballot.anon_cert.public_key, tbs_bytes(ballot),
-                  ballot.signature, params)
+    cert = ballot.anon_cert
+    return (cert.kind == KIND_ANONYMOUS
+            and verify_certificate(cert, ca_public, now)
+            and verify(cert.public_key, tbs_bytes(ballot), ballot.signature))

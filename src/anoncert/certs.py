@@ -10,6 +10,10 @@ reader are driven by the table, and decoding is canonical: `decode`
 refuses every input `b` for which `encode(decode(b)) != b` with
 `MalformedEncoding`. Hashing and signing always operate on these
 canonical bytes; the JSON dump is diagnostic only.
+
+A certificate's curve is its issuer key's: `issue_certificate` refuses a
+subject key tagged with another curve, and `verify_certificate` refuses a
+certificate whose `curve_id` is not its issuer key's curve.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
-from .curve import CurveParams, Point, Scalar, is_on_curve
+from .curve import Point, Scalar, is_on_curve
 from .envelope import EciesCiphertext, Signature, SymmetricCiphertext, sign, verify
 from .errors import InvalidKey, InvalidValidity, MalformedEncoding
 from .rng import RandomSource
@@ -267,31 +271,32 @@ def decode(data: bytes):
     return msg
 
 
-def signed(cls, signer_private: Scalar, params: CurveParams, **fields):
+def signed(cls, signer_private: Scalar, **fields):
     """Build a `cls` message from `fields` and sign its tbs_bytes with
     `signer_private`; the signature field is the one `fields` leaves out."""
     name = LAYOUT[cls].signature
     unsigned = cls(**fields, **{name: None})
-    return replace(unsigned, **{name: sign(signer_private, tbs_bytes(unsigned),
-                                           params)})
+    return replace(unsigned,
+                   **{name: sign(signer_private, tbs_bytes(unsigned))})
 
 
 def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
                       public_key: Point, validity: tuple[int, int], kind: str,
-                      params: CurveParams, rng: RandomSource) -> Certificate:
+                      rng: RandomSource) -> Certificate:
     not_before, not_after = validity
     if not_after < not_before:
         raise InvalidValidity("not_after precedes not_before")
-    if public_key.is_infinity or not is_on_curve(public_key, params):
-        raise InvalidKey("subject public key off-curve or identity")
+    if (public_key.curve_id != issuer_private.curve_id
+            or public_key.is_infinity or not is_on_curve(public_key)):
+        raise InvalidKey("subject key off the issuer's curve or identity")
     if kind == KIND_ANONYMOUS and subject:
         raise InvalidKey("anonymous certificates must have an empty subject")
     return signed(
-        Certificate, issuer_private, params,
+        Certificate, issuer_private,
         serial=rng.read(16),
         subject=subject,
         issuer=issuer_name,
-        curve_id=params.curve_id,
+        curve_id=issuer_private.curve_id,
         public_key=public_key,
         not_before=not_before,
         not_after=not_after,
@@ -299,13 +304,13 @@ def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
     )
 
 
-def verify_certificate(cert: Certificate, issuer_public: Point, now: int,
-                       params: CurveParams) -> bool:
-    if cert.curve_id != params.curve_id:
+def verify_certificate(cert: Certificate, issuer_public: Point,
+                       now: int) -> bool:
+    if cert.curve_id != issuer_public.curve_id:
         return False
     if not (cert.not_before <= now <= cert.not_after):
         return False
-    return verify(issuer_public, tbs_bytes(cert), cert.issuer_signature, params)
+    return verify(issuer_public, tbs_bytes(cert), cert.issuer_signature)
 
 
 def sanitize_details(details: Mapping[str, str]) -> dict:

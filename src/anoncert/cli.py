@@ -12,7 +12,7 @@ from dataclasses import asdict
 import click
 
 from .curve import OPENSSL_CURVES, generate_keypair, get_curve
-from .harness import PRESETS, RunReport, ScenarioConfig, run_scenario
+from .harness import RunReport, ScenarioConfig, run_scenario
 from .oracle import run_oracle_suite
 from .rng import SystemRng
 from .vectors import verify_published_vectors
@@ -44,20 +44,16 @@ def vectors(as_json):
 
 @main.command()
 @click.option("--curve", "curve_id", type=click.Choice(NAMED_CURVES),
-              default=None, help="Curve to run on.")
-@click.option("--voters", type=int, default=10, show_default=True)
+              default=NAMED_CURVES[0], show_default=True,
+              help="Curve to run on.")
+@click.option("--voters", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
-              help="Case-study preset; sets the curve.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 @click.option("--dump-dir", type=click.Path(file_okay=False), default=None,
               help="Write every protocol message as a hex dump here.")
-def demo(curve_id, voters, seed, preset, as_json, dump_dir):
+def demo(curve_id, voters, seed, as_json, dump_dir):
     """Run a seeded end-to-end issuance and voting scenario."""
-    if preset is not None:
-        curve_id = PRESETS[preset]
-    elif curve_id is None:
-        curve_id = NAMED_CURVES[0]
     cfg = ScenarioConfig(curve_id=curve_id, num_voters=voters, rng_seed=seed)
     report = run_scenario(cfg, dump_dir=dump_dir)
     if as_json:

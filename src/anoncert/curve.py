@@ -4,9 +4,13 @@ Supports two production curves (brainpoolP256r1, secp256r1) plus a tiny
 order-19 curve (y^2 = x^3 + 2x + 2 mod 17, G = (5,1)) small enough to
 check the whole group exhaustively against a brute-force oracle.
 
-Values are immutable and every function is pure; what a key costs to set
-up is computed once and cached on the key object, never in a module-level
-table, so it lives and dies with that object.
+Values are immutable and every function is pure. A key's curve is its
+tag: every `Point` and `Scalar` carries its `curve_id`, and a primitive
+takes its curve from its operands (`curve_of`), which must all carry the
+same tag. Only `generate_keypair` and `random_blinding`, which have no
+operand, take a `CurveParams`. What a key costs to set up is computed
+once and cached on the key object, never in a module-level table, so it
+lives and dies with that object.
 
 On the named curves, k*G (key generation, key expansion, the end entity's
 k*G == K check and the u1*G of ECDSA verification) runs in OpenSSL
@@ -91,7 +95,7 @@ class Point:
         """This point's comb table (`_build_comb`), built by its first
         `_mul` and kept for the object's lifetime; equal points built
         separately have separate tables."""
-        return _build_comb(self, get_curve(self.curve_id))
+        return _build_comb(self)
 
 
 @dataclass(frozen=True)
@@ -204,32 +208,38 @@ def get_curve(curve_id: str) -> CurveParams:
         raise UnknownCurve(f"unknown curve {curve_id!r}") from None
 
 
-def is_on_curve(P: Point, params: CurveParams) -> bool:
+def curve_of(*operands) -> CurveParams:
+    """The curve of the operands (`Point`s and `Scalar`s), read from
+    their tags. Raises `CurveMismatch` when two tags differ and
+    `UnknownCurve` when no curve has the tag."""
+    curve_id = operands[0].curve_id
+    for x in operands[1:]:
+        if x.curve_id != curve_id:
+            raise CurveMismatch(f"{x.curve_id} vs {curve_id}")
+    return get_curve(curve_id)
+
+
+def is_on_curve(P: Point) -> bool:
+    """Whether P lies on the curve it is tagged with."""
     if P.is_infinity:
         return True
+    params = get_curve(P.curve_id)
     if not (0 <= P.x < params.p and 0 <= P.y < params.p):
         return False
     return (P.y * P.y - (P.x ** 3 + params.a * P.x + params.b)) % params.p == 0
 
 
-def _require_operand(P: Point, params: CurveParams) -> None:
-    if P.curve_id != params.curve_id:
-        raise CurveMismatch(f"{P.curve_id} vs {params.curve_id}")
-    if not is_on_curve(P, params):
-        raise NotOnCurve(f"point off {params.curve_id}")
+def _require_on_curve(P: Point) -> None:
+    if not is_on_curve(P):
+        raise NotOnCurve(f"point off {P.curve_id}")
 
 
-def point_add(P: Point, Q: Point, params: CurveParams) -> Point:
-    _require_operand(P, params)
-    _require_operand(Q, params)
+def point_add(P: Point, Q: Point) -> Point:
+    params = curve_of(P, Q)
+    _require_on_curve(P)
+    _require_on_curve(Q)
     return _jac_to_affine(_jac_add(_to_jac(P), _to_jac(Q), params.p, params.a),
                           params.p, params.curve_id)
-
-
-def point_neg(P: Point, params: CurveParams) -> Point:
-    if P.is_infinity:
-        return P
-    return Point(P.curve_id, P.x, (-P.y) % params.p)
 
 
 # Jacobian-coordinate helpers behind point_add and scalar_mul; (X, Y, Z)
@@ -292,28 +302,28 @@ def _jac_to_affine(P, p: int, curve_id: str) -> Point:
     return Point(curve_id, X * z_inv2 % p, Y * z_inv2 * z_inv % p)
 
 
-def scalar_mul(k: Scalar, P: Point, params: CurveParams) -> Point:
+def scalar_mul(k: Scalar, P: Point) -> Point:
     """k*P. On a named curve with P = G, OpenSSL computes it with the
     scalar's cached key; otherwise, on the toy curve or for any other P,
     `_mul` does."""
-    if k.curve_id != params.curve_id:
-        raise CurveMismatch(f"{k.curve_id} vs {params.curve_id}")
-    _require_operand(P, params)
+    params = curve_of(k, P)
+    _require_on_curve(P)
     if (params.curve_id not in OPENSSL_CURVES
             or P.x != params.gx or P.y != params.gy):
-        return _mul(k.value, P, params)
+        return _mul(k.value, P)
     if k.value % params.n == 0:  # OpenSSL refuses a zero private key
         return Point.infinity(params.curve_id)
     public = k.openssl_key.public_key().public_numbers()
     return Point(params.curve_id, public.x, public.y)
 
 
-def _build_comb(P: Point, params: CurveParams) -> tuple:
+def _build_comb(P: Point) -> tuple:
     """Lim-Lee comb table of P (Lim and Lee, CRYPTO '94): with the
     scalar's bits cut into COMB_TEETH rows of d = ceil(bits(n) / teeth),
     entry i is the sum of 2**(j*d) * P over the set bits j of i, in
     affine Jacobian form (x, y, 1), or the identity. Returns (d, entries).
     """
+    params = get_curve(P.curve_id)
     p, a = params.p, params.a
     d = -(-params.n.bit_length() // COMB_TEETH)
     entries = [_JAC_INF]
@@ -341,9 +351,10 @@ def _build_comb(P: Point, params: CurveParams) -> tuple:
     return d, tuple(entries)
 
 
-def _mul(k_val: int, P: Point, params: CurveParams) -> Point:
+def _mul(k_val: int, P: Point) -> Point:
     """k_val*P for k_val >= 0 and an on-curve P: one double and one add
     per comb column of P's cached table, top column first."""
+    params = get_curve(P.curve_id)
     p, a = params.p, params.a
     d, entries = P.comb_table
     # column col of the comb reads bits col, col + d, ... of the
@@ -356,38 +367,39 @@ def _mul(k_val: int, P: Point, params: CurveParams) -> Point:
     return _jac_to_affine(acc, p, params.curve_id)
 
 
-def scalar_add_mod_n(x: Scalar, r: Scalar, params: CurveParams) -> Scalar:
-    if x.curve_id != params.curve_id or r.curve_id != params.curve_id:
-        raise CurveMismatch("scalar curve tags differ")
+def scalar_add_mod_n(x: Scalar, r: Scalar) -> Scalar:
+    params = curve_of(x, r)
     return Scalar(params.curve_id, (x.value + r.value) % params.n)
 
 
 def generate_keypair(params: CurveParams, rng: RandomSource) -> KeyPair:
     private = Scalar(params.curve_id, random_int_in_range(rng, params.n))
-    public = scalar_mul(private, params.g, params)
+    public = scalar_mul(private, params.g)
     return KeyPair(private, public)
 
 
-def expand_public(P: Point, r: Scalar, params: CurveParams) -> Point:
+def expand_public(P: Point, r: Scalar) -> Point:
     """Additive public-key blinding: P -> P + r*G."""
-    _require_operand(P, params)
+    params = curve_of(P, r)
+    _require_on_curve(P)
     if P.is_infinity:
         raise NotOnCurve("cannot expand the identity")
     if not (1 <= r.value <= params.n - 1):
         raise BlindingOutOfRange(f"blinding scalar {r.value} outside [1, n-1]")
-    result = point_add(P, scalar_mul(r, params.g, params), params)
+    result = point_add(P, scalar_mul(r, params.g))
     if result.is_infinity:
         raise DegenerateResult("expansion landed on the identity; resample r")
     return result
 
 
-def expand_private(x: Scalar, r: Scalar, params: CurveParams) -> Scalar:
+def expand_private(x: Scalar, r: Scalar) -> Scalar:
     """Additive private-key blinding: x -> (x + r) mod n, rejecting zero."""
+    params = curve_of(x, r)
     if not (1 <= x.value <= params.n - 1):
         raise BlindingOutOfRange(f"private scalar {x.value} outside [1, n-1]")
     if not (1 <= r.value <= params.n - 1):
         raise BlindingOutOfRange(f"blinding scalar {r.value} outside [1, n-1]")
-    out = scalar_add_mod_n(x, r, params)
+    out = scalar_add_mod_n(x, r)
     if out.value == 0:
         raise DegenerateResult("expanded private key is zero; resample r")
     return out

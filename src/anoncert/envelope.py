@@ -4,16 +4,20 @@ ECIES here is ECDH on the protocol curve, then HKDF-SHA256 (RFC 5869) and
 AES-256-GCM with a zero nonce (every derived key is single-use).
 Symmetric envelopes are AES-256-GCM with a random 12-byte nonce.
 Signatures are ECDSA over SHA-256 with deterministic RFC 6979 nonces, so
-repeated signing is reproducible. OpenSSL, through `cryptography`, does
-the ECDH, the ephemeral key's k*G, HKDF, AES-GCM and signing. ECDH and
-signing use the private `Scalar`'s cached OpenSSL key
-(`Scalar.openssl_key`), so an authority key is derived once however many
-requests it serves, and an ephemeral ECIES key once for its k*G and its
-ECDH; the OpenSSL key is dropped with its `Scalar`. Verification checks
-the range of r and s in Python, computes u1*G in OpenSSL and the public
-u2*Q with the variable-time Python comb of `curve` over the signer
-point's cached table, so repeated checks under one `Point` object (the
-CA, RA and identity-root keys) build that table once.
+repeated signing is reproducible. No function here takes a curve: each
+runs on the curve its keys are tagged with. OpenSSL, through
+`cryptography`, does the ECDH, the ephemeral key's k*G, HKDF, AES-GCM and
+signing. ECDH and signing use the private `Scalar`'s cached OpenSSL key
+(`Scalar.openssl_key`), which fixes their curve and refuses the toy
+curve, so an authority key is derived once however many requests it
+serves, and an ephemeral ECIES key once for its k*G and its ECDH; the
+OpenSSL key is dropped with its `Scalar`. Verification is a predicate
+that never raises: a key off its tagged curve, or a signature tagged
+with another curve, verifies nothing. It checks the range of r and s in
+Python, computes u1*G in OpenSSL and the public u2*Q with the
+variable-time Python comb of `curve` over the signer point's cached
+table, so repeated checks under one `Point` object (the CA, RA and
+identity-root keys) build that table once.
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .curve import (
-    OPENSSL_CURVES,
-    CurveParams,
     Point,
     Scalar,
+    curve_of,
     generate_keypair,
     is_on_curve,
     point_add,
@@ -118,43 +121,43 @@ def digest(message: bytes) -> bytes:
     return hashlib.sha256(message).digest()
 
 
-def _ecdh_key(private: Scalar, peer: Point, params: CurveParams,
+def _ecdh_key(private: Scalar, peer: Point,
               invalid_peer: type[AnoncertError]) -> bytes:
     """HKDF of the x coordinate of private*peer, computed by OpenSSL with
-    the scalar's cached key. A peer point OpenSSL refuses raises
-    `invalid_peer`."""
-    curve = OPENSSL_CURVES.get(params.curve_id)
-    if curve is None:
-        raise UnknownCurve(f"no ECDH backend for curve {params.curve_id!r}")
-    if private.curve_id != params.curve_id or peer.curve_id != params.curve_id:
-        raise CurveMismatch(f"ECDH operands not on {params.curve_id}")
-    if private.value % params.n == 0 or peer.is_infinity:
+    the scalar's cached key on that key's curve. A peer point OpenSSL
+    refuses raises `invalid_peer`."""
+    if private.value % curve_of(private).n == 0 or peer.is_infinity:
         raise InvalidEphemeralKey("ECDH produced the identity")
+    key = private.openssl_key
     try:
-        peer_key = ec.EllipticCurvePublicNumbers(peer.x, peer.y, curve).public_key()
+        peer_key = ec.EllipticCurvePublicNumbers(peer.x, peer.y,
+                                                 key.curve).public_key()
     except ValueError:
-        raise invalid_peer(f"peer key is not a point of {params.curve_id}") from None
-    shared_x = private.openssl_key.exchange(ec.ECDH(), peer_key)
+        raise invalid_peer(
+            f"peer key is not a point of {private.curve_id}") from None
+    shared_x = key.exchange(ec.ECDH(), peer_key)
     hkdf = HKDF(hashes.SHA256(), KEY_LEN, salt=None, info=ECIES_CONTEXT)
     return hkdf.derive(shared_x)
 
 
 def ecies_encrypt(recipient_public: Point, plaintext: bytes,
-                  params: CurveParams, rng: RandomSource) -> EciesCiphertext:
-    if recipient_public.is_infinity or not is_on_curve(recipient_public, params):
+                  rng: RandomSource) -> EciesCiphertext:
+    """Encrypt to `recipient_public` under an ephemeral key on its curve."""
+    if recipient_public.is_infinity or not is_on_curve(recipient_public):
         raise InvalidRecipientKey("recipient key off-curve or identity")
-    eph = generate_keypair(params, rng)
-    key = _ecdh_key(eph.private, recipient_public, params, InvalidRecipientKey)
+    eph = generate_keypair(curve_of(recipient_public), rng)
+    key = _ecdh_key(eph.private, recipient_public, InvalidRecipientKey)
     sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
     return EciesCiphertext(eph.public, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
 
 
-def ecies_decrypt(recipient_private: Scalar, ct: EciesCiphertext,
-                  params: CurveParams) -> bytes:
-    if ct.ephemeral_public.is_infinity or not is_on_curve(ct.ephemeral_public, params):
+def ecies_decrypt(recipient_private: Scalar, ct: EciesCiphertext) -> bytes:
+    """Open `ct`, whose ephemeral key must carry the recipient's curve."""
+    eph = ct.ephemeral_public
+    curve_of(recipient_private, eph)
+    if eph.is_infinity or not is_on_curve(eph):
         raise InvalidEphemeralKey("ephemeral key off-curve or identity")
-    key = _ecdh_key(recipient_private, ct.ephemeral_public, params,
-                    InvalidEphemeralKey)
+    key = _ecdh_key(recipient_private, eph, InvalidEphemeralKey)
     try:
         return AESGCM(key).decrypt(_ZERO_NONCE, ct.body + ct.tag, None)
     except InvalidTag:
@@ -175,25 +178,28 @@ def sym_decrypt(key: SymmetricKey, ct: SymmetricCiphertext, aad: bytes) -> bytes
         raise AuthenticationFailure("AEAD tag check failed") from None
 
 
-def sign(signer_private: Scalar, message: bytes, params: CurveParams) -> Signature:
+def sign(signer_private: Scalar, message: bytes) -> Signature:
     """ECDSA signature with the scalar's cached OpenSSL key, whose value
-    must be in [1, n-1] on `params`' curve."""
-    if params.curve_id not in OPENSSL_CURVES:
-        raise UnknownCurve(f"no signing backend for curve {params.curve_id!r}")
-    if signer_private.curve_id != params.curve_id:
-        raise CurveMismatch(f"{signer_private.curve_id} vs {params.curve_id}")
-    if not 1 <= signer_private.value <= params.n - 1:
+    must be in [1, n-1] on its named curve."""
+    if not 1 <= signer_private.value <= curve_of(signer_private).n - 1:
         raise InvalidKey("signing key outside [1, n-1]")
     der = signer_private.openssl_key.sign(
         message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
     r, s = decode_dss_signature(der)
-    return Signature(Scalar(params.curve_id, r), Scalar(params.curve_id, s))
+    curve_id = signer_private.curve_id
+    return Signature(Scalar(curve_id, r), Scalar(curve_id, s))
 
 
-def verify(signer_public: Point, message: bytes, sig: Signature,
-           params: CurveParams) -> bool:
+def verify(signer_public: Point, message: bytes, sig: Signature) -> bool:
+    """Whether `sig` is a signature of `message` under `signer_public` on
+    its curve. False, never an error, for a key that is not a point of
+    its tagged curve or a signature tagged with another curve."""
+    try:
+        params = curve_of(signer_public, sig.r, sig.s)
+    except (CurveMismatch, UnknownCurve):
+        return False
     n = params.n
-    if signer_public.is_infinity or not is_on_curve(signer_public, params):
+    if signer_public.is_infinity or not is_on_curve(signer_public):
         return False
     if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
         return False
@@ -203,8 +209,7 @@ def verify(signer_public: Point, message: bytes, sig: Signature,
     w = pow(sig.s.value, -1, n)
     u1 = Scalar(params.curve_id, e * w % n)
     u2 = Scalar(params.curve_id, sig.r.value * w % n)
-    R = point_add(scalar_mul(u1, params.g, params),
-                  scalar_mul(u2, signer_public, params), params)
+    R = point_add(scalar_mul(u1, params.g), scalar_mul(u2, signer_public))
     if R.is_infinity:
         return False
     return R.x % n == sig.r.value

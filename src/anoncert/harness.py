@@ -30,24 +30,12 @@ from .actors import (
     verify_ballot,
 )
 from .certs import KIND_PREEXISTING, encode, issue_certificate
-from .curve import (
-    BRAINPOOL_P256R1,
-    OPENSSL_CURVES,
-    SECP256R1,
-    Scalar,
-    generate_keypair,
-    get_curve,
-)
+from .curve import OPENSSL_CURVES, Scalar, generate_keypair, get_curve
 from .errors import AnoncertError, UnknownCurve
 from .rng import DeterministicRng
 
 SIMULATION_TIME = 1_750_000_000  # fixed clock keeps runs reproducible
 VALIDITY_WINDOW = (SIMULATION_TIME - 3600, SIMULATION_TIME + 86400)
-
-PRESETS = {
-    "social-platform": BRAINPOOL_P256R1,
-    "citizen-cert": SECP256R1,
-}
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,7 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
         keys = generate_keypair(params, rng)
         cert = issue_certificate(
             identity_keys.private, "IdentityRoot", ee_id, keys.public,
-            VALIDITY_WINDOW, KIND_PREEXISTING, params, rng,
+            VALIDITY_WINDOW, KIND_PREEXISTING, rng,
         )
         serials.add(cert.serial)
         voters.append((ee_id, rng,
@@ -161,7 +149,8 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             req_bytes = encode(req)
             transcript.record("EE", "sent", req_bytes, ee_id)
             transcript.record("RA", "received", req_bytes, ee_id)
-            ca_forbidden.append((f"{ee_id}.r_RA", ee.secrets.r_ra.to_bytes()))
+            r_ra = ee.secrets.r_ra  # as drawn by the EE, gone after finalizing
+            ca_forbidden.append((f"{ee_id}.r_RA", r_ra.to_bytes()))
 
             fwd, ra = ra_process_request(ra, req, ee_id, SIMULATION_TIME)
             fwd_bytes = encode(fwd)
@@ -194,10 +183,8 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             ballot = sign_ballot(ee, choice.encode())
             if not verify_ballot(ballot, ca_keys.public, SIMULATION_TIME):
                 raise AnoncertError("ballot failed verification")
-            r_ra_val = (result.temporary_private.value
-                        - ee.original.private.value) % params.n
             outcome.invariant_ok = (
-                (ee.original.private.value + r_ra_val + r_ca_val) % params.n
+                (ee.original.private.value + r_ra.value + r_ca_val) % params.n
                 == result.formal_private.value)
             outcome.candidate = choice
             outcome.status = "ok"

@@ -90,7 +90,7 @@ def run_oracle_suite() -> OracleReport:
     # scalar_mul against literal repeated addition, all scalars
     report.scalar_table_ok = True
     for k in range(params.n):
-        got = scalar_mul(Scalar(TOY, k), params.g, params)
+        got = scalar_mul(Scalar(TOY, k), params.g)
         want = oracle_mul(k, g, params.p, params.a)
         if _to_tuple(got) != want:
             report.scalar_table_ok = False
@@ -101,26 +101,25 @@ def run_oracle_suite() -> OracleReport:
     report.group_laws_ok = True
     for P in group:
         Pp = _to_point(P)
-        if _to_tuple(point_add(Pp, Point.infinity(TOY), params)) != P:
+        if _to_tuple(point_add(Pp, Point.infinity(TOY))) != P:
             report.group_laws_ok = False
             report.failures.append(f"identity law fails at {P}")
         neg = INF if P == INF else (P[0], (-P[1]) % params.p)
-        if _to_tuple(point_add(Pp, _to_point(neg), params)) != INF:
+        if _to_tuple(point_add(Pp, _to_point(neg))) != INF:
             report.group_laws_ok = False
             report.failures.append(f"inverse law fails at {P}")
         for Q in group:
             Qp = _to_point(Q)
-            pq = point_add(Pp, Qp, params)
+            pq = point_add(Pp, Qp)
             if _to_tuple(pq) != oracle_add(P, Q, params.p, params.a):
                 report.group_laws_ok = False
                 report.failures.append(f"addition differs at {P} + {Q}")
-            if _to_tuple(point_add(Qp, Pp, params)) != _to_tuple(pq):
+            if _to_tuple(point_add(Qp, Pp)) != _to_tuple(pq):
                 report.group_laws_ok = False
                 report.failures.append(f"commutativity fails at {P}, {Q}")
             for R in group:
-                left = point_add(pq, _to_point(R), params)
-                right = point_add(Pp, point_add(Qp, _to_point(R), params),
-                                  params)
+                left = point_add(pq, _to_point(R))
+                right = point_add(Pp, point_add(Qp, _to_point(R)))
                 if _to_tuple(left) != _to_tuple(right):
                     report.group_laws_ok = False
                     report.failures.append(
@@ -133,7 +132,7 @@ def run_oracle_suite() -> OracleReport:
         for r in range(1, params.n):
             want = oracle_mul((x + r) % params.n, g, params.p, params.a)
             try:
-                got = expand_public(_to_point(X), Scalar(TOY, r), params)
+                got = expand_public(_to_point(X), Scalar(TOY, r))
                 got_t = _to_tuple(got)
             except DegenerateResult:
                 got_t = INF
@@ -150,7 +149,7 @@ def run_oracle_suite() -> OracleReport:
     for r in range(1, params.n):
         try:
             outcomes.append(_to_tuple(
-                expand_public(_to_point(J), Scalar(TOY, r), params)))
+                expand_public(_to_point(J), Scalar(TOY, r))))
         except DegenerateResult:
             outcomes.append(INF)
     if len(set(outcomes)) != params.n - 1 or len(outcomes) != params.n - 1:

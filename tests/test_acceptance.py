@@ -82,8 +82,8 @@ def test_criterion_3_expansion_homomorphism():
                        1 + int.from_bytes(rng.read(32), "big") % (params.n - 1))
             if (x.value + r.value) % params.n == 0:
                 continue
-            left = scalar_mul(expand_private(x, r, params), params.g, params)
-            right = expand_public(scalar_mul(x, params.g, params), r, params)
+            left = scalar_mul(expand_private(x, r), params.g)
+            right = expand_public(scalar_mul(x, params.g), r)
             if left != right:
                 failures += 1
     elapsed = time.monotonic() - start
@@ -136,7 +136,7 @@ def test_criterion_7_envelope_and_signature_robustness():
     total = 0
 
     pair = generate_keypair(params, rng)
-    ct = ecies_encrypt(pair.public, b"robustness target", params, rng)
+    ct = ecies_encrypt(pair.public, b"robustness target", rng)
     raw = ct.to_bytes()
     for _ in range(200):
         total += 1
@@ -144,8 +144,7 @@ def test_criterion_7_envelope_and_signature_robustness():
         try:
             ecies_decrypt(pair.private,
                           EciesCiphertext.from_bytes(_flip_bit(raw, bit),
-                                                     params.curve_id),
-                          params)
+                                                     params.curve_id))
         except AnoncertError:
             rejected += 1
 
@@ -162,24 +161,24 @@ def test_criterion_7_envelope_and_signature_robustness():
             rejected += 1
 
     msg = b"ballot payload"
-    sig = sign(pair.private, msg, params)
+    sig = sign(pair.private, msg)
     sig_raw = sig.to_bytes()
     for _ in range(300):
         total += 1
         if int.from_bytes(rng.read(1), "big") % 2:
             bit = int.from_bytes(rng.read(4), "big") % (len(msg) * 8)
-            bad = verify(pair.public, _flip_bit(msg, bit), sig, params)
+            bad = verify(pair.public, _flip_bit(msg, bit), sig)
         else:
             bit = int.from_bytes(rng.read(4), "big") % (len(sig_raw) * 8)
             from anoncert.envelope import Signature
             bad = verify(pair.public, msg,
                          Signature.from_bytes(_flip_bit(sig_raw, bit),
-                                              params.curve_id), params)
+                                              params.curve_id))
         if not bad:
             rejected += 1
 
-    deterministic = (sign(pair.private, msg, params).to_bytes()
-                     == sign(pair.private, msg, params).to_bytes())
+    deterministic = (sign(pair.private, msg).to_bytes()
+                     == sign(pair.private, msg).to_bytes())
     ok = rejected == total and total >= 1000 and deterministic
     _report(7, ok, f"{rejected}/{total} perturbations rejected, "
                    f"deterministic signing holds")

@@ -87,7 +87,7 @@ class Setup:
         ee_keys = generate_keypair(self.params, ee_keys_rng or rng)
         cert = issue_certificate(self.identity.private, "IdentityRoot",
                                  "voter-0", ee_keys.public, VALIDITY,
-                                 KIND_PREEXISTING, self.params, rng)
+                                 KIND_PREEXISTING, rng)
         self.ee = EeState(curve_id, ee_keys, cert)
         self.ra = RaState(self.ra_keys, self.ca_keys.public,
                           self.identity.public, frozenset({cert.serial}))
@@ -128,7 +128,7 @@ def test_published_chain_end_to_end(curve_id, scripted_rng):
     assert result.formal_private.to_hex() == chain["k"]
     assert fwd.temporary_public_key.to_hex() == "".join(chain["J"])
     assert result.anon_cert.public_key.to_hex() == "".join(chain["K"])
-    assert scalar_mul(result.formal_private, params.g, params) == \
+    assert scalar_mul(result.formal_private, params.g) == \
         result.anon_cert.public_key
 
 
@@ -140,7 +140,7 @@ class TestEeRequest:
         req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
                                     setup.ca_keys.public, {}, drng)
         assert verify(setup.ee.original.public, request_tbs_bytes(req),
-                      req.signature, setup.params)
+                      req.signature)
         assert ee.secrets is not None
 
     def test_single_pending_request(self, drng):
@@ -183,7 +183,7 @@ class TestRaProcessing:
                 if forgery == "foreign_root" else setup.identity)
         validity = (0, 1) if forgery == "expired" else VALIDITY
         kind = KIND_ANONYMOUS if forgery == "anonymous" else KIND_PREEXISTING
-        cert = signed(Certificate, root.private, setup.params,
+        cert = signed(Certificate, root.private,
                       serial=setup.ee.preexisting_cert.serial, subject="",
                       issuer="IdentityRoot", curve_id=setup.params.curve_id,
                       public_key=attacker.public, not_before=validity[0],
@@ -289,7 +289,7 @@ class TestCaProcessing:
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        forged = signed(ForwardedRequest, setup.ra_keys.private, setup.params,
+        forged = signed(ForwardedRequest, setup.ra_keys.private,
                         curve_id=fwd.curve_id,
                         temporary_public_key=fwd.temporary_public_key,
                         s_ct=fwd.s_ct,
@@ -392,7 +392,7 @@ class TestEeFinalization:
                        + payload[-32:])
         request_hash = drng.read(32)
         z_ct = sym_encrypt(ee.secrets.aes_key, payload, request_hash, drng)
-        resp = signed(CertificateResponse, setup.ca_keys.private, setup.params,
+        resp = signed(CertificateResponse, setup.ca_keys.private,
                       curve_id=setup.params.curve_id, z_ct=z_ct,
                       request_hash=request_hash)
         with pytest.raises(EnvelopeFailure, match="z payload"):
@@ -409,7 +409,7 @@ class TestEeFinalization:
         setup.run_flow()
         result = setup.ee.result
         params = setup.params
-        assert scalar_mul(result.formal_private, params.g, params) == \
+        assert scalar_mul(result.formal_private, params.g) == \
             result.anon_cert.public_key
 
 
@@ -439,7 +439,7 @@ class TestBallots:
         setup.run_flow()
         unsigned = Ballot(b"alice", setup.ee.result.anon_cert, None)
         sig = ecdsa_sign(setup.ee.original.private,
-                         ballot_tbs_bytes(unsigned), setup.params)
+                         ballot_tbs_bytes(unsigned))
         forged = dataclasses.replace(unsigned, signature=sig)
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)
 
@@ -450,7 +450,7 @@ class TestBallots:
         setup.run_flow()
         unsigned = Ballot(b"alice", setup.ee.preexisting_cert, None)
         sig = ecdsa_sign(setup.ee.original.private,
-                         ballot_tbs_bytes(unsigned), setup.params)
+                         ballot_tbs_bytes(unsigned))
         forged = dataclasses.replace(unsigned, signature=sig)
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)
 

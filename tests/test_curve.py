@@ -19,7 +19,6 @@ from anoncert.curve import (
     get_curve,
     is_on_curve,
     point_add,
-    point_neg,
     scalar_add_mod_n,
     scalar_mul,
     _mul,
@@ -55,60 +54,68 @@ class TestPointAdd:
     def test_identity(self, brainpool):
         g = brainpool.g
         inf = Point.infinity(brainpool.curve_id)
-        assert point_add(g, inf, brainpool) == g
-        assert point_add(inf, g, brainpool) == g
+        assert point_add(g, inf) == g
+        assert point_add(inf, g) == g
 
     def test_inverse_pair(self, brainpool):
         g = brainpool.g
-        assert point_add(g, point_neg(g, brainpool), brainpool).is_infinity
+        minus_g = scalar_mul(Scalar(brainpool.curve_id, brainpool.n - 1), g)
+        assert (minus_g.x, minus_g.y) == (g.x, brainpool.p - g.y)
+        assert point_add(g, minus_g).is_infinity
 
     def test_toy_doubling(self, toy):
         # oracle: on y^2 = x^3 + 2x + 2 mod 17, G + G = (6, 3)
-        assert point_add(toy.g, toy.g, toy) == Point(TOY, 6, 3)
+        assert point_add(toy.g, toy.g) == Point(TOY, 6, 3)
 
     def test_curve_mismatch(self, brainpool, secp):
-        with pytest.raises(CurveMismatch):
-            point_add(brainpool.g, secp.g, brainpool)
+        # the curve comes from the operands' tags: they must agree, name
+        # a curve, and each point must lie on the curve it is tagged with
+        mislabeled = Point(BRAINPOOL_P256R1, secp.gx, secp.gy)
+        unknown = Point("nope", 1, 2)
+        for P, Q, error in [(brainpool.g, secp.g, CurveMismatch),
+                            (secp.g, brainpool.g, CurveMismatch),
+                            (mislabeled, brainpool.g, NotOnCurve),
+                            (brainpool.g, mislabeled, NotOnCurve),
+                            (unknown, unknown, UnknownCurve)]:
+            with pytest.raises(error):
+                point_add(P, Q)
 
     def test_off_curve_rejected(self, brainpool):
         bogus = Point(brainpool.curve_id, 1, 2)
         with pytest.raises(NotOnCurve):
-            point_add(bogus, brainpool.g, brainpool)
+            point_add(bogus, brainpool.g)
 
 
 class TestScalarMul:
     def test_published_keypair(self, brainpool):
-        pub = scalar_mul(Scalar(brainpool.curve_id, I_PRIV), brainpool.g,
-                         brainpool)
+        pub = scalar_mul(Scalar(brainpool.curve_id, I_PRIV), brainpool.g)
         assert (pub.x, pub.y) == I_PUB
 
     def test_identity_scalar(self, named_curve):
-        assert scalar_mul(Scalar(named_curve.curve_id, 1), named_curve.g,
-                          named_curve) == named_curve.g
+        one = Scalar(named_curve.curve_id, 1)
+        assert scalar_mul(one, named_curve.g) == named_curve.g
 
     def test_zero_scalar(self, named_curve):
-        assert scalar_mul(Scalar(named_curve.curve_id, 0), named_curve.g,
-                          named_curve).is_infinity
+        zero = Scalar(named_curve.curve_id, 0)
+        assert scalar_mul(zero, named_curve.g).is_infinity
 
     def test_order_annihilates(self):
         for params in CURVES.values():
-            result = scalar_mul(Scalar(params.curve_id, params.n), params.g,
-                                params)
+            result = scalar_mul(Scalar(params.curve_id, params.n), params.g)
             assert result.is_infinity
 
     def test_toy_matches_repeated_addition(self, toy):
         acc = Point.infinity(TOY)
         for k in range(toy.n):
-            got = scalar_mul(Scalar(TOY, k), toy.g, toy)
+            got = scalar_mul(Scalar(TOY, k), toy.g)
             assert got == acc
-            acc = point_add(acc, toy.g, toy)
+            acc = point_add(acc, toy.g)
 
     def test_outputs_on_curve(self, named_curve, drng):
         for _ in range(20):
             k = Scalar(named_curve.curve_id,
                        int.from_bytes(drng.read(32), "big") % named_curve.n)
-            assert is_on_curve(scalar_mul(k, named_curve.g, named_curve),
-                               named_curve)
+            assert is_on_curve(scalar_mul(k, named_curve.g))
 
 
 class TestNativeFixedBase:
@@ -116,18 +123,22 @@ class TestNativeFixedBase:
         # on a named curve k*G runs in OpenSSL; `_mul` is the reference
         params = named_curve
         for k in edge_scalars(params.n):
-            native = scalar_mul(Scalar(params.curve_id, k), params.g, params)
-            assert native == _mul(k % params.n, params.g, params), hex(k)
+            native = scalar_mul(Scalar(params.curve_id, k), params.g)
+            assert native == _mul(k % params.n, params.g), hex(k)
 
     def test_operand_checks_come_first(self, brainpool, secp):
         with pytest.raises(CurveMismatch):
-            scalar_mul(Scalar(SECP256R1, 3), brainpool.g, brainpool)
+            scalar_mul(Scalar(SECP256R1, 3), brainpool.g)
         with pytest.raises(CurveMismatch):
-            scalar_mul(Scalar(BRAINPOOL_P256R1, 3), secp.g, brainpool)
+            scalar_mul(Scalar(BRAINPOOL_P256R1, 3), secp.g)
         with pytest.raises(NotOnCurve):
             scalar_mul(Scalar(BRAINPOOL_P256R1, 3),
-                       Point(BRAINPOOL_P256R1, brainpool.gx, brainpool.gy + 1),
-                       brainpool)
+                       Point(BRAINPOOL_P256R1, brainpool.gx, brainpool.gy + 1))
+        with pytest.raises(NotOnCurve):  # secp256r1's G tagged brainpool
+            scalar_mul(Scalar(BRAINPOOL_P256R1, 3),
+                       Point(BRAINPOOL_P256R1, secp.gx, secp.gy))
+        with pytest.raises(UnknownCurve):
+            scalar_mul(Scalar("nope", 3), Point("nope", 1, 2))
 
     def test_openssl_key_needs_named_curve_and_nonzero_value(self, brainpool):
         with pytest.raises(UnknownCurve):
@@ -148,15 +159,15 @@ class TestVariableBase:
         params = named_curve
         rand = random.Random(8)
         shared_j = Scalar(params.curve_id, rand.randrange(1, params.n))
-        shared = scalar_mul(shared_j, params.g, params)
+        shared = scalar_mul(shared_j, params.g)
         for k in edge_scalars(params.n, count=30):
             fresh_j = Scalar(params.curve_id, rand.randrange(1, params.n))
-            fresh = scalar_mul(fresh_j, params.g, params)
+            fresh = scalar_mul(fresh_j, params.g)
             for j, P in ((fresh_j, fresh), (shared_j, shared)):
                 want = scalar_mul(
                     Scalar(params.curve_id, k * j.value % params.n),
-                    params.g, params)
-                assert _mul(k, P, params) == want, hex(k)
+                    params.g)
+                assert _mul(k, P) == want, hex(k)
 
     def test_toy_exhaustive_matches_oracle(self, toy):
         # every point and every k in [0, 2n): some comb entries of the
@@ -165,7 +176,7 @@ class TestVariableBase:
         for P in enumerate_group(toy.p, toy.a, toy.b):
             point = _to_point(P)
             for k in range(2 * toy.n):
-                assert _mul(k, point, toy) == _to_point(
+                assert _mul(k, point) == _to_point(
                     oracle_mul(k, P, toy.p, toy.a)), (P, k)
 
     def test_comb_table_cached_per_object(self, monkeypatch, named_curve):
@@ -173,28 +184,26 @@ class TestVariableBase:
         builds = []
         build = curve._build_comb
 
-        def spy(P, params):
+        def spy(P):
             builds.append(P)
-            return build(P, params)
+            return build(P)
 
         monkeypatch.setattr(curve, "_build_comb", spy)
         signer = generate_keypair(params, DeterministicRng(5))
         for i in range(10):
             msg = b"message %d" % i
-            assert verify(signer.public, msg, sign(signer.private, msg, params),
-                          params)
+            assert verify(signer.public, msg, sign(signer.private, msg))
         assert len(builds) == 1 and builds[0] is signer.public
         twin = Point(params.curve_id, signer.public.x, signer.public.y)
-        assert verify(twin, b"message 0", sign(signer.private, b"message 0",
-                                                params), params)
+        assert verify(twin, b"message 0", sign(signer.private, b"message 0"))
         assert len(builds) == 2 and builds[1] is twin
 
     def test_cached_state_is_not_a_field(self, brainpool):
         # the comb table and the OpenSSL key stay out of eq, hash, replace
         # and asdict
         k = Scalar(BRAINPOOL_P256R1, 7)
-        P = scalar_mul(k, brainpool.g, brainpool)
-        _mul(3, P, brainpool)
+        P = scalar_mul(k, brainpool.g)
+        _mul(3, P)
         fresh_k = Scalar(BRAINPOOL_P256R1, 7)
         fresh_P = Point(BRAINPOOL_P256R1, P.x, P.y)
         assert "openssl_key" in vars(k) and "comb_table" in vars(P)
@@ -211,17 +220,17 @@ class TestScalarAdd:
     def test_published_j(self, brainpool):
         i = Scalar(brainpool.curve_id, I_PRIV)
         r = Scalar(brainpool.curve_id, R_RA % brainpool.n)
-        assert scalar_add_mod_n(i, r, brainpool).value == J_SCALAR
+        assert scalar_add_mod_n(i, r).value == J_SCALAR
 
     def test_additive_identity(self, brainpool):
         x = Scalar(brainpool.curve_id, 12345)
         zero = Scalar(brainpool.curve_id, 0)
-        assert scalar_add_mod_n(x, zero, brainpool) == x
+        assert scalar_add_mod_n(x, zero) == x
 
     def test_wraparound(self, named_curve):
         a = Scalar(named_curve.curve_id, named_curve.n - 1)
         b = Scalar(named_curve.curve_id, 1)
-        assert scalar_add_mod_n(a, b, named_curve).value == 0
+        assert scalar_add_mod_n(a, b).value == 0
 
 
 class TestGenerateKeypair:
@@ -235,7 +244,7 @@ class TestGenerateKeypair:
         for _ in range(10):
             pair = generate_keypair(named_curve, drng)
             assert 1 <= pair.private.value <= named_curve.n - 1
-            assert is_on_curve(pair.public, named_curve)
+            assert is_on_curve(pair.public)
 
     def test_toy_exhaustive_publics_match_oracle(self, toy):
         seen = set()
@@ -253,46 +262,59 @@ class TestExpansion:
     def test_published_temporary_key(self, brainpool):
         I = Point(brainpool.curve_id, *I_PUB)
         r = Scalar(brainpool.curve_id, R_RA % brainpool.n)
-        J = expand_public(I, r, brainpool)
+        J = expand_public(I, r)
         assert (J.x, J.y) == J_PUB
 
     def test_published_formal_key(self, brainpool):
         J = Point(brainpool.curve_id, *J_PUB)
         r = Scalar(brainpool.curve_id, R_CA)
-        K = expand_public(J, r, brainpool)
+        K = expand_public(J, r)
         assert (K.x, K.y) == K_PUB
 
     def test_published_formal_private(self, brainpool):
         j = Scalar(brainpool.curve_id, J_SCALAR)
         r = Scalar(brainpool.curve_id, R_CA)
-        assert expand_private(j, r, brainpool).value == K_SCALAR
+        assert expand_private(j, r).value == K_SCALAR
 
     def test_published_secp_chain(self, secp):
         j = Scalar(secp.curve_id, int(
             "53E27B26EA5318D83048B2B6D9FE730C266BC2C581B9CD5238B674E0D2960A4A", 16))
         r_ca = Scalar(secp.curve_id, int(
             "A1754E3C913F9C98B1147DD142E66A3CBE59DD5B53B721C39B0A73BCE4EB1B32", 16))
-        assert expand_private(j, r_ca, secp).to_hex() == (
+        assert expand_private(j, r_ca).to_hex() == (
             "F557C9637B92B570E15D30881CE4DD48E4C5A020D570EF15D3C0E89DB781257C")
 
     def test_blinding_range_enforced(self, brainpool):
         I = Point(brainpool.curve_id, *I_PUB)
         with pytest.raises(BlindingOutOfRange):
-            expand_public(I, Scalar(brainpool.curve_id, 0), brainpool)
+            expand_public(I, Scalar(brainpool.curve_id, 0))
         with pytest.raises(BlindingOutOfRange):
-            expand_public(I, Scalar(brainpool.curve_id, brainpool.n), brainpool)
+            expand_public(I, Scalar(brainpool.curve_id, brainpool.n))
+
+    def test_operand_disagreement(self, brainpool):
+        I = Point(brainpool.curve_id, *I_PUB)
+        x = Scalar(brainpool.curve_id, I_PRIV)
+        r = Scalar(SECP256R1, R_CA)
+        with pytest.raises(CurveMismatch):
+            expand_public(I, r)
+        with pytest.raises(CurveMismatch):
+            expand_private(x, r)
+        with pytest.raises(CurveMismatch):
+            expand_private(r, x)
+        with pytest.raises(CurveMismatch):
+            scalar_add_mod_n(x, r)
 
     def test_zero_private_rejected(self, named_curve):
         x = Scalar(named_curve.curve_id, 5)
         r = Scalar(named_curve.curve_id, named_curve.n - 5)
         with pytest.raises(DegenerateResult):
-            expand_private(x, r, named_curve)
+            expand_private(x, r)
 
     def test_degenerate_public(self, toy):
         # x*G expanded by r = n - x lands on the identity
-        P = scalar_mul(Scalar(TOY, 4), toy.g, toy)
+        P = scalar_mul(Scalar(TOY, 4), toy.g)
         with pytest.raises(DegenerateResult):
-            expand_public(P, Scalar(TOY, toy.n - 4), toy)
+            expand_public(P, Scalar(TOY, toy.n - 4))
 
     def test_homomorphism_random(self, named_curve, drng):
         params = named_curve
@@ -303,20 +325,20 @@ class TestExpansion:
                        1 + int.from_bytes(drng.read(32), "big") % (params.n - 1))
             if (x.value + r.value) % params.n == 0:
                 continue
-            left = scalar_mul(expand_private(x, r, params), params.g, params)
-            right = expand_public(scalar_mul(x, params.g, params), r, params)
+            left = scalar_mul(expand_private(x, r), params.g)
+            right = expand_public(scalar_mul(x, params.g), r)
             assert left == right
 
     def test_homomorphism_exhaustive_toy(self, toy):
         for x in range(1, toy.n):
-            X = scalar_mul(Scalar(TOY, x), toy.g, toy)
+            X = scalar_mul(Scalar(TOY, x), toy.g)
             for r in range(1, toy.n):
                 if (x + r) % toy.n == 0:
                     continue
                 left = scalar_mul(
-                    expand_private(Scalar(TOY, x), Scalar(TOY, r), toy),
-                    toy.g, toy)
-                assert left == expand_public(X, Scalar(TOY, r), toy)
+                    expand_private(Scalar(TOY, x), Scalar(TOY, r)),
+                    toy.g)
+                assert left == expand_public(X, Scalar(TOY, r))
 
 
 class TestEncoding:
@@ -341,7 +363,7 @@ class TestEncoding:
 class TestCurveParams:
     def test_generators_on_curve(self):
         for params in CURVES.values():
-            assert is_on_curve(params.g, params)
+            assert is_on_curve(params.g)
 
     def test_cofactor_one(self):
         for params in CURVES.values():

@@ -50,50 +50,56 @@ class TestEcies:
         pair = generate_keypair(named_curve, drng)
         for idx in range(100):
             msg = drng.read(1 + idx % 64)
-            ct = ecies_encrypt(pair.public, msg, named_curve, drng)
-            assert ecies_decrypt(pair.private, ct, named_curve) == msg
+            ct = ecies_encrypt(pair.public, msg, drng)
+            assert ecies_decrypt(pair.private, ct) == msg
 
     def test_wrong_private_key(self, named_curve, drng):
         alice = generate_keypair(named_curve, drng)
         bob = generate_keypair(named_curve, drng)
-        ct = ecies_encrypt(alice.public, b"secret", named_curve, drng)
+        ct = ecies_encrypt(alice.public, b"secret", drng)
         with pytest.raises(AuthenticationFailure):
-            ecies_decrypt(bob.private, ct, named_curve)
+            ecies_decrypt(bob.private, ct)
 
     def test_seeded_blinding_scalar_round_trip(self, brainpool):
         # fixed-seed envelope carrying the published 32-byte blinding value
         rng = DeterministicRng(2024)
         pair = generate_keypair(brainpool, rng)
         plaintext = bytes.fromhex(R_RA_HEX)
-        ct = ecies_encrypt(pair.public, plaintext, brainpool, rng)
-        recovered = ecies_decrypt(pair.private, ct, brainpool)
+        ct = ecies_encrypt(pair.public, plaintext, rng)
+        recovered = ecies_decrypt(pair.private, ct)
         assert recovered == plaintext and len(recovered) == 32
 
     def test_key_separation(self, named_curve, drng):
         alice = generate_keypair(named_curve, drng)
         bob = generate_keypair(named_curve, drng)
-        ct_alice = ecies_encrypt(alice.public, b"same message", named_curve, drng)
-        ct_bob = ecies_encrypt(bob.public, b"same message", named_curve, drng)
+        ct_alice = ecies_encrypt(alice.public, b"same message", drng)
+        ct_bob = ecies_encrypt(bob.public, b"same message", drng)
         with pytest.raises(AuthenticationFailure):
-            ecies_decrypt(bob.private, ct_alice, named_curve)
+            ecies_decrypt(bob.private, ct_alice)
         with pytest.raises(AuthenticationFailure):
-            ecies_decrypt(alice.private, ct_bob, named_curve)
+            ecies_decrypt(alice.private, ct_bob)
 
     def test_identity_recipient_rejected(self, brainpool, drng):
         from anoncert.curve import Point
         with pytest.raises(InvalidRecipientKey):
-            ecies_encrypt(Point.infinity(brainpool.curve_id), b"x",
-                          brainpool, drng)
+            ecies_encrypt(Point.infinity(brainpool.curve_id), b"x", drng)
 
     def test_wire_round_trip(self, brainpool, drng):
         pair = generate_keypair(brainpool, drng)
-        ct = ecies_encrypt(pair.public, b"wire", brainpool, drng)
+        ct = ecies_encrypt(pair.public, b"wire", drng)
         parsed = EciesCiphertext.from_bytes(ct.to_bytes(), brainpool.curve_id)
         assert parsed == ct
 
+    def test_ephemeral_key_of_another_curve(self, brainpool, secp, drng):
+        # a ciphertext made for a secp256r1 recipient, opened with a
+        # brainpoolP256r1 key
+        ct = ecies_encrypt(generate_keypair(secp, drng).public, b"x", drng)
+        with pytest.raises(CurveMismatch):
+            ecies_decrypt(generate_keypair(brainpool, drng).private, ct)
+
     def test_perturbations_rejected(self, brainpool, drng):
         pair = generate_keypair(brainpool, drng)
-        ct = ecies_encrypt(pair.public, b"perturb me", brainpool, drng)
+        ct = ecies_encrypt(pair.public, b"perturb me", drng)
         raw = ct.to_bytes()
         from anoncert.errors import AnoncertError
         for _ in range(60):
@@ -101,7 +107,7 @@ class TestEcies:
             mangled = EciesCiphertext.from_bytes(_flip_bit(raw, bit),
                                                  brainpool.curve_id)
             with pytest.raises(AnoncertError):
-                ecies_decrypt(pair.private, mangled, brainpool)
+                ecies_decrypt(pair.private, mangled)
 
 
 class TestEcdh:
@@ -114,12 +120,12 @@ class TestEcdh:
             scalar = Scalar(params.curve_id, k)
             if k % params.n == 0:
                 with pytest.raises(InvalidEphemeralKey):
-                    _ecdh_key(scalar, peer, params, InvalidRecipientKey)
+                    _ecdh_key(scalar, peer, InvalidRecipientKey)
                 continue
-            shared = _mul(k % params.n, peer, params)
+            shared = _mul(k % params.n, peer)
             hkdf = HKDF(hashes.SHA256(), 32, salt=None, info=ECIES_CONTEXT)
             want = hkdf.derive(shared.x.to_bytes(32, "big"))
-            assert _ecdh_key(scalar, peer, params, InvalidRecipientKey) == want
+            assert _ecdh_key(scalar, peer, InvalidRecipientKey) == want
 
     @pytest.mark.parametrize("error", [InvalidRecipientKey, InvalidEphemeralKey])
     def test_off_curve_peer_is_typed(self, named_curve, error):
@@ -127,24 +133,23 @@ class TestEcdh:
         # for the peer point must come out as the caller's typed error
         off_curve = Point(named_curve.curve_id, 1, 2)
         with pytest.raises(error) as info:
-            _ecdh_key(Scalar(named_curve.curve_id, 5), off_curve, named_curve,
+            _ecdh_key(Scalar(named_curve.curve_id, 5), off_curve,
                       error)
         assert not isinstance(info.value, ValueError)
 
     def test_unreduced_ephemeral_rejected(self, brainpool, drng):
         # OpenSSL reduces coordinates mod p; the wire form must be canonical
         pair = generate_keypair(brainpool, drng)
-        ct = ecies_encrypt(pair.public, b"x", brainpool, drng)
+        ct = ecies_encrypt(pair.public, b"x", drng)
         eph = ct.ephemeral_public
         while eph.x + brainpool.p >= 2 ** 256:
-            ct = ecies_encrypt(pair.public, b"x", brainpool, drng)
+            ct = ecies_encrypt(pair.public, b"x", drng)
             eph = ct.ephemeral_public
         unreduced = Point(brainpool.curve_id, eph.x + brainpool.p, eph.y)
         wire = unreduced.to_bytes() + ct.to_bytes()[64:]
         with pytest.raises(InvalidEphemeralKey):
             ecies_decrypt(pair.private,
-                          EciesCiphertext.from_bytes(wire, brainpool.curve_id),
-                          brainpool)
+                          EciesCiphertext.from_bytes(wire, brainpool.curve_id))
 
 
 class TestSymmetric:
@@ -184,39 +189,39 @@ class TestSignatures:
         for _ in range(5):
             pair = generate_keypair(named_curve, drng)
             msg = drng.read(40)
-            sig = sign(pair.private, msg, named_curve)
-            assert verify(pair.public, msg, sig, named_curve)
+            sig = sign(pair.private, msg)
+            assert verify(pair.public, msg, sig)
 
     def test_flipped_message_bit(self, named_curve, drng):
         pair = generate_keypair(named_curve, drng)
         msg = b"the ballot payload"
-        sig = sign(pair.private, msg, named_curve)
-        assert not verify(pair.public, _flip_bit(msg, 3), sig, named_curve)
+        sig = sign(pair.private, msg)
+        assert not verify(pair.public, _flip_bit(msg, 3), sig)
 
     def test_deterministic(self, named_curve, drng):
         pair = generate_keypair(named_curve, drng)
         msg = b"same message twice"
-        assert (sign(pair.private, msg, named_curve).to_bytes()
-                == sign(pair.private, msg, named_curve).to_bytes())
+        assert (sign(pair.private, msg).to_bytes()
+                == sign(pair.private, msg).to_bytes())
 
     def test_wrong_key_fails(self, named_curve, drng):
         pair = generate_keypair(named_curve, drng)
         other = generate_keypair(named_curve, drng)
-        sig = sign(pair.private, b"msg", named_curve)
-        assert not verify(other.public, b"msg", sig, named_curve)
+        sig = sign(pair.private, b"msg")
+        assert not verify(other.public, b"msg", sig)
 
     def test_malformed_signature_is_false(self, brainpool, drng):
         pair = generate_keypair(brainpool, drng)
         zero = Signature(Scalar(brainpool.curve_id, 0),
                          Scalar(brainpool.curve_id, 0))
-        assert not verify(pair.public, b"msg", zero, brainpool)
+        assert not verify(pair.public, b"msg", zero)
         huge = Signature(Scalar(brainpool.curve_id, brainpool.n),
                          Scalar(brainpool.curve_id, 1))
-        assert not verify(pair.public, b"msg", huge, brainpool)
+        assert not verify(pair.public, b"msg", huge)
 
     def test_signature_wire_round_trip(self, brainpool, drng):
         pair = generate_keypair(brainpool, drng)
-        sig = sign(pair.private, b"wire", brainpool)
+        sig = sign(pair.private, b"wire")
         assert Signature.from_bytes(sig.to_bytes(), brainpool.curve_id) == sig
 
     def test_rfc6979_p256_sha256_sample(self, secp):
@@ -224,25 +229,36 @@ class TestSignatures:
         x = Scalar.from_hex(
             "C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721",
             SECP256R1)
-        sig = sign(x, b"sample", secp)
+        sig = sign(x, b"sample")
         assert sig.r.to_hex() == (
             "EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716")
         assert sig.s.to_hex() == (
             "F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8")
-        assert verify(scalar_mul(x, secp.g, secp), b"sample", sig, secp)
+        assert verify(scalar_mul(x, secp.g), b"sample", sig)
 
     def test_toy_curve_cannot_sign(self, toy):
         with pytest.raises(UnknownCurve):
-            sign(Scalar(toy.curve_id, 3), b"msg", toy)
+            sign(Scalar(toy.curve_id, 3), b"msg")
 
-    def test_key_of_another_curve_rejected(self, secp):
-        with pytest.raises(CurveMismatch):
-            sign(Scalar(BRAINPOOL_P256R1, 5), b"m", secp)
+    def test_key_off_its_curve_is_false(self, secp):
+        # verify is a predicate: a key whose coordinates are off the curve
+        # it is tagged with, a signature tagged with another curve, or an
+        # unknown curve verify nothing and raise nothing
+        sig = sign(Scalar(SECP256R1, 1), b"m")  # key 1: public key G
+        assert verify(secp.g, b"m", sig)
+        mislabeled = Point(BRAINPOOL_P256R1, secp.gx, secp.gy)
+        retagged = Signature(Scalar(BRAINPOOL_P256R1, sig.r.value),
+                             Scalar(BRAINPOOL_P256R1, sig.s.value))
+        unknown = Signature(Scalar("nope", 1), Scalar("nope", 1))
+        for key, signature in [(mislabeled, sig), (mislabeled, retagged),
+                               (secp.g, retagged),
+                               (Point("nope", 1, 2), unknown)]:
+            assert verify(key, b"m", signature) is False
 
     def test_out_of_range_key_is_typed(self, named_curve):
         for value in (0, named_curve.n, 2 ** 256 - 1):
             with pytest.raises(InvalidKey):
-                sign(Scalar(named_curve.curve_id, value), b"m", named_curve)
+                sign(Scalar(named_curve.curve_id, value), b"m")
 
 
 class TestDigest:

@@ -10,9 +10,9 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from anoncert import curve, envelope, harness
 from anoncert.certs import encode
 from anoncert.cli import main
-from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY
+from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY, Scalar, get_curve
 from anoncert.errors import UnknownCurve
-from anoncert.harness import PRESETS, ScenarioConfig, run_scenario
+from anoncert.harness import ScenarioConfig, run_scenario
 from anoncert.oracle import run_oracle_suite
 from anoncert.vectors import PUBLISHED_VECTORS, verify_published_vectors
 
@@ -54,8 +54,20 @@ class TestScenario:
         with pytest.raises(UnknownCurve):
             ScenarioConfig(TOY, 6, 1)
 
-    def test_presets_cover_both_curves(self):
-        assert set(PRESETS.values()) == {BRAINPOOL_P256R1, SECP256R1}
+    def test_invariant_uses_the_drawn_r_ra(self, monkeypatch):
+        # j one too high and k right: the voter still gets a working
+        # (k, K), and only the r_RA the EE drew shows that j != i + r_RA
+        deltas = iter((1, -1))
+
+        def skewed(x, r):
+            n = get_curve(x.curve_id).n
+            return Scalar(x.curve_id, (x.value + r.value + next(deltas)) % n)
+
+        monkeypatch.setattr("anoncert.actors.expand_private", skewed)
+        report = run_scenario(ScenarioConfig(SECP256R1, 1, 7))
+        assert report.successes == 1
+        assert not report.voters[0].invariant_ok
+        assert report.assertions["all_invariants"] is False
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
@@ -67,12 +79,12 @@ def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     mul = curve._mul
     in_verify = []
 
-    def spy(k_val, P, params):
+    def spy(k_val, P):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not envelope.verify.__code__:
             frame = frame.f_back
         in_verify.append(frame is not None)
-        return mul(k_val, P, params)
+        return mul(k_val, P)
 
     monkeypatch.setattr(curve, "_mul", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
@@ -143,13 +155,6 @@ class TestCli:
         assert first.exit_code == 0
         assert first.output == second.output
 
-    def test_demo_preset(self):
-        result = CliRunner().invoke(
-            main, ["demo", "--preset", "citizen-cert", "--voters", "1",
-                   "--seed", "3", "--json"])
-        assert result.exit_code == 0
-        assert json.loads(result.output)["config"]["curve_id"] == SECP256R1
-
     def test_keygen(self):
         result = CliRunner().invoke(
             main, ["keygen", "--curve", BRAINPOOL_P256R1, "--json"])
@@ -166,6 +171,12 @@ class TestCli:
     def test_usage_error_exit_code(self):
         result = CliRunner().invoke(main, ["demo", "--curve", "nope"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("voters", ["0", "-3"])
+    def test_voters_below_one_is_usage_error(self, voters):
+        result = CliRunner().invoke(main, ["demo", "--voters", voters])
+        assert result.exit_code == 2
+        assert "--voters" in result.output
 
 
 class TestTranscriptDump:
@@ -196,6 +207,20 @@ class TestTranscriptDump:
         for path in sorted(tmp_path.iterdir()):
             h.update(path.read_bytes())
         assert h.hexdigest() == want
+
+    @pytest.mark.parametrize("curve_id, want", [
+        (SECP256R1,
+         "c3eab6f5f0d74481e7697611c0f3b1755fea9799adda9f0a31e8c383e838b65c"),
+        (BRAINPOOL_P256R1,
+         "a8e2be97faab50d0c8be1e2f19ef3b6b00a4aa28c08479e098607cc3d634d3dd"),
+    ])
+    def test_seed_77_report_golden(self, curve_id, want):
+        # sha256 of the seeded 5-voter `demo --json` report
+        result = CliRunner().invoke(
+            main, ["demo", "--curve", curve_id, "--voters", "5",
+                   "--seed", "77", "--json"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == want
 
     @pytest.mark.parametrize("curve_id, want", [
         (SECP256R1,
