@@ -3,6 +3,8 @@
 Each step is a pure transition (state, message) -> (state', outputs); no
 actor mutates another's state, so a harness may run them on separate
 threads with message passing. Within one actor, steps are serialized.
+Actors keep no record of the bytes they exchange: the caller carries each
+message over the wire (`certs.encode`/`decode`) and keeps any transcript.
 
 State hygiene rules enforced here: the RA holds r_RA only while the
 matching response is pending, then erases it; the CA never stores the
@@ -75,6 +77,7 @@ from .errors import (
 from .rng import RandomSource
 
 REQUEST_HASH_KEY = "request_hash"
+CA_ISSUER_NAME = "CA"
 MAX_BLINDING_RETRIES = 8
 
 
@@ -93,8 +96,7 @@ class EeResult:
 
 @dataclass(frozen=True)
 class EeState:
-    curve_id: str
-    original: KeyPair
+    original: KeyPair  # its curve is the EE's curve
     preexisting_cert: Certificate
     secrets: Optional[EeSecrets] = None
     result: Optional[EeResult] = None
@@ -120,31 +122,7 @@ class RaState:
 class CaState:
     keypair: KeyPair
     trusted_ra_public: Point
-    issuer_name: str = "CA"
-    issued_serials: frozenset = frozenset()
     request_hashes: frozenset = frozenset()  # every request answered
-
-
-@dataclass(frozen=True)
-class TranscriptEntry:
-    actor: str
-    direction: str  # "sent" | "received"
-    message: bytes
-    annotation: str = ""
-
-
-class Transcript:
-    """Append-only log of the bytes each actor saw during a run."""
-
-    def __init__(self):
-        self.entries: list[TranscriptEntry] = []
-
-    def record(self, actor: str, direction: str, message: bytes,
-               annotation: str = ""):
-        self.entries.append(TranscriptEntry(actor, direction, message, annotation))
-
-    def bytes_for(self, actor: str) -> bytes:
-        return b"".join(e.message for e in self.entries if e.actor == actor)
 
 
 def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
@@ -152,7 +130,7 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
                       rng: RandomSource) -> tuple[CertificateRequest, EeState]:
     if state.secrets is not None:
         raise ProtocolStateError("a request is already pending for this EE")
-    params = get_curve(state.curve_id)
+    params = get_curve(state.original.private.curve_id)
     r_ra = random_blinding(params, rng)
     aes_key = SymmetricKey(rng.read(32))
     r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), rng)
@@ -233,7 +211,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     else:
         raise DegenerateResult("blinding kept degenerating; giving up")
     anon_cert = issue_certificate(
-        state.keypair.private, state.issuer_name, "", formal_public,
+        state.keypair.private, CA_ISSUER_NAME, "", formal_public,
         validity, KIND_ANONYMOUS, rng,
     )
     try:
@@ -250,10 +228,8 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     resp = signed(CertificateResponse, state.keypair.private,
                   curve_id=params.curve_id, z_ct=z_ct,
                   request_hash=request_hash)
-    new_state = replace(
-        state, issued_serials=state.issued_serials | {anon_cert.serial},
-        request_hashes=state.request_hashes | {request_hash})
-    return resp, new_state
+    return resp, replace(state,
+                         request_hashes=state.request_hashes | {request_hash})
 
 
 def ra_route_response(state: RaState, resp: CertificateResponse
@@ -270,7 +246,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
                         ca_public: Point, now: int) -> EeState:
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
-    params = get_curve(state.curve_id)
+    params = get_curve(state.original.private.curve_id)
     if not verify(ca_public, tbs_bytes(resp), resp.signature):
         raise BadSignature("response not signed by the CA")
     try:

@@ -9,7 +9,7 @@ length prefixes and string maps are sorted by key. One writer and one
 reader are driven by the table, and decoding is canonical: `decode`
 refuses every input `b` for which `encode(decode(b)) != b` with
 `MalformedEncoding`. Hashing and signing always operate on these
-canonical bytes; the JSON dump is diagnostic only.
+canonical bytes.
 
 A certificate's curve is its issuer key's: `issue_certificate` refuses a
 subject key tagged with another curve, and `verify_certificate` refuses a
@@ -18,7 +18,6 @@ certificate whose `curve_id` is not its issuer key's curve.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
@@ -318,21 +317,3 @@ def sanitize_details(details: Mapping[str, str]) -> dict:
     identifying fields included, is dropped."""
     return {k: v for k, v in details.items() if k in DEFAULT_DETAIL_ALLOWLIST}
 
-
-def to_json(msg) -> str:
-    """Diagnostic dump, uppercase hex for byte fields. Never hashed or signed."""
-
-    def conv(value):
-        if isinstance(value, bytes):
-            return value.hex().upper()
-        if isinstance(value, Point):
-            return value.to_hex()
-        if isinstance(value, Scalar):
-            return value.to_hex()
-        if hasattr(value, "__dataclass_fields__"):
-            return {f: conv(getattr(value, f)) for f in value.__dataclass_fields__}
-        if isinstance(value, Mapping):
-            return {k: conv(v) for k, v in sorted(value.items())}
-        return value
-
-    return json.dumps(conv(msg), indent=2, sort_keys=True)

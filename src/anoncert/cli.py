@@ -48,7 +48,8 @@ def vectors(as_json):
               help="Curve to run on.")
 @click.option("--voters", type=click.IntRange(min=1), default=10,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
+              show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 @click.option("--dump-dir", type=click.Path(file_okay=False), default=None,
               help="Write every protocol message as a hex dump here.")

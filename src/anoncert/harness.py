@@ -5,6 +5,11 @@ generator, drives the full issuance flow per voter, casts and verifies
 one ballot each, and byte-scans the per-actor transcripts for material
 that must never appear on the wrong side of the trust boundary.
 
+Every hop goes over the wire: the sender's message is encoded, its bytes
+are logged once as sent and once as received, and the receiver gets what
+`decode` makes of them. So each actor processes exactly the bytes that the
+byte-scan audits.
+
 Reports are reproducible: identical config (including seed) yields
 byte-identical JSON. Wall-clock timing is therefore kept out of the
 JSON report and surfaced separately.
@@ -20,7 +25,6 @@ from .actors import (
     CaState,
     EeState,
     RaState,
-    Transcript,
     ca_process_request,
     ee_create_request,
     ee_process_response,
@@ -29,7 +33,7 @@ from .actors import (
     sign_ballot,
     verify_ballot,
 )
-from .certs import KIND_PREEXISTING, encode, issue_certificate
+from .certs import KIND_PREEXISTING, decode, encode, issue_certificate
 from .curve import OPENSSL_CURVES, Scalar, generate_keypair, get_curve
 from .errors import AnoncertError, UnknownCurve
 from .rng import DeterministicRng
@@ -48,6 +52,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.num_voters < 1:
             raise ValueError("num_voters must be >= 1")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError("rng_seed must be in [0, 2**64 - 1]")
         if not self.candidate_list:
             raise ValueError("candidate_list must be nonempty")
         if self.curve_id not in OPENSSL_CURVES:
@@ -61,7 +67,7 @@ class VoterOutcome:
     status: str  # "ok" | "error"
     error: str = ""
     candidate: str = ""
-    invariant_ok: bool = False  # (i + r_RA + r_CA) mod n == k
+    invariant_ok: bool = False  # j == (i + r_RA) mod n; k is checked by the EE
 
 
 @dataclass
@@ -82,16 +88,30 @@ class RunReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def dump_transcript(transcript: Transcript, directory) -> None:
-    """Write each transcript message as an uppercase-hex file for offline
+def dump_transcript(log: list, directory) -> None:
+    """Write each logged message as an uppercase-hex file for offline
     inspection, numbered in delivery order."""
     import os
 
     os.makedirs(directory, exist_ok=True)
-    for idx, entry in enumerate(transcript.entries):
-        name = f"{idx:04d}_{entry.actor}_{entry.direction}.hex"
+    for idx, (actor, direction, message) in enumerate(log):
+        name = f"{idx:04d}_{actor}_{direction}.hex"
         with open(os.path.join(directory, name), "w") as fh:
-            fh.write(entry.message.hex().upper() + "\n")
+            fh.write(message.hex().upper() + "\n")
+
+
+def _deliver(log: list, sender: str, receiver: str, msg):
+    """Carry `msg` over the wire: log its encoding as sent and as received,
+    and return what the receiver decodes from those bytes."""
+    data = encode(msg)
+    log.extend(((sender, "sent", data), (receiver, "received", data)))
+    return decode(data)
+
+
+def _leaks(log: list, actor: str, forbidden: list) -> list:
+    """Labels of the (label, needle) pairs found in the bytes `actor` saw."""
+    seen = b"".join(message for who, _, message in log if who == actor)
+    return [label for label, needle in forbidden if needle in seen]
 
 
 def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
@@ -103,7 +123,7 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
     ra_keys = generate_keypair(params, root.split("ra"))
     identity_keys = generate_keypair(params, root.split("identity-root"))
 
-    transcript = Transcript()
+    log = []  # (actor, "sent" | "received", wire bytes), in delivery order
     report = RunReport(config=cfg)
 
     # provision voters with preexisting certificates
@@ -118,8 +138,7 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             VALIDITY_WINDOW, KIND_PREEXISTING, rng,
         )
         serials.add(cert.serial)
-        voters.append((ee_id, rng,
-                       EeState(cfg.curve_id, keys, cert)))
+        voters.append((ee_id, rng, EeState(keys, cert)))
 
     ra = RaState(ra_keys, ca_keys.public, identity_keys.public,
                  frozenset(serials))
@@ -146,33 +165,23 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
         try:
             req, ee = ee_create_request(ee, ra_keys.public, ca_keys.public,
                                         details, rng)
-            req_bytes = encode(req)
-            transcript.record("EE", "sent", req_bytes, ee_id)
-            transcript.record("RA", "received", req_bytes, ee_id)
             r_ra = ee.secrets.r_ra  # as drawn by the EE, gone after finalizing
             ca_forbidden.append((f"{ee_id}.r_RA", r_ra.to_bytes()))
 
-            fwd, ra = ra_process_request(ra, req, ee_id, SIMULATION_TIME)
-            fwd_bytes = encode(fwd)
-            transcript.record("RA", "sent", fwd_bytes, ee_id)
-            transcript.record("CA", "received", fwd_bytes, ee_id)
-
-            resp, ca = ca_process_request(ca, fwd, VALIDITY_WINDOW,
-                                          root.split(f"ca-{ee_id}"))
-            resp_bytes = encode(resp)
-            transcript.record("CA", "sent", resp_bytes, ee_id)
-            transcript.record("RA", "received", resp_bytes, ee_id)
-
-            routed_id, resp, ra = ra_route_response(ra, resp)
-            transcript.record("RA", "sent", resp_bytes, routed_id)
-            transcript.record("EE", "received", resp_bytes, routed_id)
-
-            ee = ee_process_response(ee, resp, ca_keys.public, SIMULATION_TIME)
+            fwd, ra = ra_process_request(
+                ra, _deliver(log, "EE", "RA", req), ee_id, SIMULATION_TIME)
+            resp, ca = ca_process_request(
+                ca, _deliver(log, "RA", "CA", fwd), VALIDITY_WINDOW,
+                root.split(f"ca-{ee_id}"))
+            _, resp, ra = ra_route_response(ra, _deliver(log, "CA", "RA", resp))
+            ee = ee_process_response(ee, _deliver(log, "RA", "EE", resp),
+                                     ca_keys.public, SIMULATION_TIME)
             result = ee.result
-            r_ca_val = (result.formal_private.value
-                        - result.temporary_private.value) % params.n
+            i = ee.original.private.value
+            # the CA's draw whenever the EE's k*G == K check passed
+            r_ca = (result.formal_private.value - i - r_ra.value) % params.n
             ra_forbidden += [
-                (f"{ee_id}.r_CA", Scalar(cfg.curve_id, r_ca_val).to_bytes()),
+                (f"{ee_id}.r_CA", Scalar(cfg.curve_id, r_ca).to_bytes()),
                 (f"{ee_id}.k", result.formal_private.to_bytes()),
                 (f"{ee_id}.K", result.anon_cert.public_key.to_bytes()),
                 (f"{ee_id}.anon_serial", result.anon_cert.serial),
@@ -183,19 +192,16 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             ballot = sign_ballot(ee, choice.encode())
             if not verify_ballot(ballot, ca_keys.public, SIMULATION_TIME):
                 raise AnoncertError("ballot failed verification")
-            outcome.invariant_ok = (
-                (ee.original.private.value + r_ra.value + r_ca_val) % params.n
-                == result.formal_private.value)
+            outcome.invariant_ok = (result.temporary_private.value
+                                    == (i + r_ra.value) % params.n)
             outcome.candidate = choice
             outcome.status = "ok"
             report.tally[choice] = report.tally.get(choice, 0) + 1
         except AnoncertError as exc:
             outcome.error = f"{type(exc).__name__}: {exc}"
 
-    ra_bytes = transcript.bytes_for("RA")
-    ca_bytes = transcript.bytes_for("CA")
-    ra_leaks = [label for label, needle in ra_forbidden if needle in ra_bytes]
-    ca_leaks = [label for label, needle in ca_forbidden if needle in ca_bytes]
+    ra_leaks = _leaks(log, "RA", ra_forbidden)
+    ca_leaks = _leaks(log, "CA", ca_forbidden)
     report.assertions = {
         "ra_view_separation": not ra_leaks,
         "ca_view_separation": not ca_leaks,
@@ -206,5 +212,5 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
     }
     report.elapsed_seconds = time.monotonic() - start
     if dump_dir is not None:
-        dump_transcript(transcript, dump_dir)
+        dump_transcript(log, dump_dir)
     return report

@@ -88,7 +88,7 @@ class Setup:
         cert = issue_certificate(self.identity.private, "IdentityRoot",
                                  "voter-0", ee_keys.public, VALIDITY,
                                  KIND_PREEXISTING, rng)
-        self.ee = EeState(curve_id, ee_keys, cert)
+        self.ee = EeState(ee_keys, cert)
         self.ra = RaState(self.ra_keys, self.ca_keys.public,
                           self.identity.public, frozenset({cert.serial}))
         self.ca = CaState(self.ca_keys, self.ra_keys.public)
@@ -188,7 +188,7 @@ class TestRaProcessing:
                       issuer="IdentityRoot", curve_id=setup.params.curve_id,
                       public_key=attacker.public, not_before=validity[0],
                       not_after=validity[1], kind=kind)
-        forged = EeState(setup.params.curve_id, attacker, cert)
+        forged = EeState(attacker, cert)
         req, _ = ee_create_request(forged, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
         with pytest.raises(BadCertificate):
@@ -319,12 +319,6 @@ class TestCaProcessing:
         with pytest.raises(AuthenticationFailure):
             sym_decrypt(SymmetricKey(drng.read(32)), resp.z_ct,
                         resp.request_hash)
-
-    def test_issued_serial_recorded(self, drng):
-        setup = Setup()
-        setup.run_flow()
-        assert len(setup.ca.issued_serials) == 1
-        assert setup.ee.result.anon_cert.serial in setup.ca.issued_serials
 
 
 class TestRouting:

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from anoncert import curve, envelope, harness
+from anoncert import actors, curve, envelope, harness
 from anoncert.certs import encode
 from anoncert.cli import main
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY, Scalar, get_curve
@@ -47,6 +47,9 @@ class TestScenario:
             ScenarioConfig(BRAINPOOL_P256R1, 1, 1, candidate_list=())
         with pytest.raises(ValueError):
             ScenarioConfig("no-such-curve", 1, 1)
+        for seed in (-1, 2**64):  # the seeded generator takes a u64 seed
+            with pytest.raises(ValueError):
+                ScenarioConfig(BRAINPOOL_P256R1, 1, seed)
 
     def test_toy_curve_rejected(self):
         # toy keys are 32-byte strings of mostly zeros, so a toy run would
@@ -56,18 +59,70 @@ class TestScenario:
 
     def test_invariant_uses_the_drawn_r_ra(self, monkeypatch):
         # j one too high and k right: the voter still gets a working
-        # (k, K), and only the r_RA the EE drew shows that j != i + r_RA
+        # (k, K), and only the r_RA the EE drew shows that j != i + r_RA.
+        # The RA's r_CA needle must still be the r_CA the CA drew, not k - j.
         deltas = iter((1, -1))
 
         def skewed(x, r):
             n = get_curve(x.curve_id).n
             return Scalar(x.curve_id, (x.value + r.value + next(deltas)) % n)
 
+        ca_draws, draw = [], actors.random_blinding
+
+        def spy_draw(params, rng):
+            r = draw(params, rng)
+            if sys._getframe(1).f_code is actors.ca_process_request.__code__:
+                ca_draws.append(r)
+            return r
+
+        forbidden, leaks = {}, harness._leaks
+
+        def spy_leaks(log, actor, needles):
+            forbidden[actor] = dict(needles)
+            return leaks(log, actor, needles)
+
         monkeypatch.setattr("anoncert.actors.expand_private", skewed)
+        monkeypatch.setattr(actors, "random_blinding", spy_draw)
+        monkeypatch.setattr(harness, "_leaks", spy_leaks)
         report = run_scenario(ScenarioConfig(SECP256R1, 1, 7))
         assert report.successes == 1
         assert not report.voters[0].invariant_ok
         assert report.assertions["all_invariants"] is False
+        assert len(ca_draws) == 1
+        assert forbidden["RA"]["voter-0.r_CA"] == ca_draws[0].to_bytes()
+
+    def test_each_actor_gets_the_bytes_of_its_hop(self, monkeypatch, tmp_path):
+        # every step is handed what decodes from the bytes logged for its
+        # hop, never the sender's own object
+        sent, received = [], []
+
+        def spy(name, received_at, sent_at):
+            step = getattr(harness, name)
+
+            def wrapped(*args):
+                if received_at is not None:
+                    received.append(args[received_at])
+                out = step(*args)
+                if sent_at is not None:
+                    sent.append(out[sent_at])
+                return out
+
+            monkeypatch.setattr(harness, name, wrapped)
+
+        spy("ee_create_request", None, 0)
+        spy("ra_process_request", 1, 0)
+        spy("ca_process_request", 1, 0)
+        spy("ra_route_response", 1, 1)
+        spy("ee_process_response", 1, None)
+        report = run_scenario(ScenarioConfig(SECP256R1, 1, 7), dump_dir=tmp_path)
+        assert report.successes == 1
+        hops = [bytes.fromhex(path.read_text())
+                for path in sorted(tmp_path.iterdir())
+                if path.name.endswith("_received.hex")]
+        assert len(sent) == len(received) == len(hops) == 4
+        for from_sender, to_receiver, wire in zip(sent, received, hops):
+            assert to_receiver is not from_sender
+            assert encode(to_receiver) == wire
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
@@ -177,6 +232,17 @@ class TestCli:
         result = CliRunner().invoke(main, ["demo", "--voters", voters])
         assert result.exit_code == 2
         assert "--voters" in result.output
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_usage_error(self, seed):
+        result = CliRunner().invoke(main, ["demo", "--seed", seed])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
+    def test_largest_seed_accepted(self):
+        result = CliRunner().invoke(
+            main, ["demo", "--voters", "1", "--seed", str(2**64 - 1)])
+        assert result.exit_code == 0
 
 
 class TestTranscriptDump:
