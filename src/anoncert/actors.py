@@ -13,7 +13,9 @@ its blinding secrets once the anonymous certificate is finalized.
 
 One identity gets one credential: the RA forwards only requests whose
 preexisting certificate verifies under the identity root, at most one per
-certificate serial, and the CA answers each request hash once.
+certificate serial, and it routes (erasing r_RA) only responses the CA
+signed; the CA answers each request hash once. Every certificate check is
+one `verify_certificate` call that names the kind it accepts.
 """
 
 from __future__ import annotations
@@ -149,8 +151,8 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
     if not verify(cert.public_key, tbs_bytes(req), req.signature):
         raise BadSignature("request signature does not verify under the "
                            "embedded certificate key")
-    if cert.kind != KIND_PREEXISTING or not verify_certificate(
-            cert, state.identity_root, now):
+    if not verify_certificate(cert, state.identity_root, now,
+                              KIND_PREEXISTING):
         raise BadCertificate("preexisting certificate is not a current "
                              "certificate of the identity root")
     if cert.serial not in state.eligibility:
@@ -234,6 +236,8 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
 
 def ra_route_response(state: RaState, resp: CertificateResponse
                       ) -> tuple[str, CertificateResponse, RaState]:
+    if not verify(state.ca_public, tbs_bytes(resp), resp.signature):
+        raise BadSignature("response not signed by the CA")
     entry = state.pending.get(resp.request_hash)
     if entry is None:
         raise UnknownRequestHash("no pending request matches this response")
@@ -263,7 +267,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     formal_private = expand_private(temp_private, r_ca)
     if scalar_mul(formal_private, params.g) != anon_cert.public_key:
         raise KeyMismatch("formal private key does not match certificate key")
-    if not verify_certificate(anon_cert, ca_public, now):
+    if not verify_certificate(anon_cert, ca_public, now, KIND_ANONYMOUS):
         raise BadCertificate("anonymous certificate does not verify")
     result = EeResult(anon_cert, temp_private, formal_private)
     return replace(state, secrets=None, result=result)
@@ -278,6 +282,5 @@ def sign_ballot(state: EeState, payload: bytes) -> Ballot:
 
 def verify_ballot(ballot: Ballot, ca_public: Point, now: int) -> bool:
     cert = ballot.anon_cert
-    return (cert.kind == KIND_ANONYMOUS
-            and verify_certificate(cert, ca_public, now)
+    return (verify_certificate(cert, ca_public, now, KIND_ANONYMOUS)
             and verify(cert.public_key, tbs_bytes(ballot), ballot.signature))

@@ -12,8 +12,9 @@ refuses every input `b` for which `encode(decode(b)) != b` with
 canonical bytes.
 
 A certificate's curve is its issuer key's: `issue_certificate` refuses a
-subject key tagged with another curve, and `verify_certificate` refuses a
-certificate whose `curve_id` is not its issuer key's curve.
+subject key tagged with another curve. `verify_certificate` refuses a
+certificate whose `curve_id` is not its issuer key's curve, or whose kind
+is not the one its caller names.
 """
 
 from __future__ import annotations
@@ -303,9 +304,10 @@ def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
     )
 
 
-def verify_certificate(cert: Certificate, issuer_public: Point,
-                       now: int) -> bool:
-    if cert.curve_id != issuer_public.curve_id:
+def verify_certificate(cert: Certificate, issuer_public: Point, now: int,
+                       kind: str) -> bool:
+    """Whether `cert` is a current `kind` certificate of `issuer_public`."""
+    if cert.kind != kind or cert.curve_id != issuer_public.curve_id:
         return False
     if not (cert.not_before <= now <= cert.not_after):
         return False

@@ -52,11 +52,14 @@ def vectors(as_json):
               show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 @click.option("--dump-dir", type=click.Path(file_okay=False), default=None,
-              help="Write every protocol message as a hex dump here.")
+              help="Hex-dump every protocol message into this empty directory.")
 def demo(curve_id, voters, seed, as_json, dump_dir):
     """Run a seeded end-to-end issuance and voting scenario."""
     cfg = ScenarioConfig(curve_id=curve_id, num_voters=voters, rng_seed=seed)
-    report = run_scenario(cfg, dump_dir=dump_dir)
+    try:
+        report = run_scenario(cfg, dump_dir=dump_dir)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--dump-dir") from None
     if as_json:
         click.echo(report.to_json())
     else:

@@ -92,9 +92,9 @@ class Point:
 
     @cached_property
     def comb_table(self) -> tuple:
-        """This point's comb table (`_build_comb`), built by its first
-        `_mul` and kept for the object's lifetime; equal points built
-        separately have separate tables."""
+        """This point's comb table of Jacobian entries (`_build_comb`),
+        built by its first `_mul` and kept for the object's lifetime;
+        equal points built separately have separate tables."""
         return _build_comb(self)
 
 
@@ -321,7 +321,9 @@ def _build_comb(P: Point) -> tuple:
     """Lim-Lee comb table of P (Lim and Lee, CRYPTO '94): with the
     scalar's bits cut into COMB_TEETH rows of d = ceil(bits(n) / teeth),
     entry i is the sum of 2**(j*d) * P over the set bits j of i, in
-    affine Jacobian form (x, y, 1), or the identity. Returns (d, entries).
+    Jacobian form with any Z, which `_jac_add` takes as it is; the
+    identity, which the toy curve's small order makes reachable, has
+    Z = 0. Returns (d, entries).
     """
     params = get_curve(P.curve_id)
     p, a = params.p, params.a
@@ -333,21 +335,6 @@ def _build_comb(P: Point) -> tuple:
             for _ in range(d):
                 tooth = _jac_double(tooth, p, a)
         entries += [_jac_add(e, tooth, p, a) for e in entries]
-    # one inversion normalises every entry (Montgomery's trick); the
-    # identity, which the toy curve's small order makes reachable, stays
-    prefix, acc = [], 1
-    for _, _, Z in entries:
-        prefix.append(acc)
-        if Z:
-            acc = acc * Z % p
-    inv = pow(acc, -1, p)
-    for i in reversed(range(len(entries))):
-        X, Y, Z = entries[i]
-        if Z:
-            z_inv = inv * prefix[i] % p
-            inv = inv * Z % p
-            z_inv2 = z_inv * z_inv % p
-            entries[i] = (X * z_inv2 % p, Y * z_inv2 * z_inv % p, 1)
     return d, tuple(entries)
 
 

@@ -18,6 +18,7 @@ JSON report and surfaced separately.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -91,8 +92,6 @@ class RunReport:
 def dump_transcript(log: list, directory) -> None:
     """Write each logged message as an uppercase-hex file for offline
     inspection, numbered in delivery order."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     for idx, (actor, direction, message) in enumerate(log):
         name = f"{idx:04d}_{actor}_{direction}.hex"
@@ -115,6 +114,9 @@ def _leaks(log: list, actor: str, forbidden: list) -> list:
 
 
 def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
+    # files already in dump_dir would mix with this run's transcript
+    if dump_dir is not None and os.path.isdir(dump_dir) and os.listdir(dump_dir):
+        raise ValueError(f"dump directory {dump_dir} is not empty")
     start = time.monotonic()
     params = get_curve(cfg.curve_id)
     root = DeterministicRng(cfg.rng_seed)

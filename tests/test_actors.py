@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from anoncert import actors
 from anoncert.actors import (
     CaState,
     EeState,
@@ -344,6 +345,26 @@ class TestRouting:
         with pytest.raises(UnknownRequestHash):
             ra_route_response(dataclasses.replace(setup.ra), resp)
 
+    def test_stranger_signed_response_keeps_pending(self, drng):
+        # a response naming the pending hash but not signed by the CA must
+        # not erase r_RA, or the CA's genuine response finds no entry
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
+        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        stranger = generate_keypair(setup.params, drng)
+        forged = signed(CertificateResponse, stranger.private,
+                        curve_id=resp.curve_id, z_ct=resp.z_ct,
+                        request_hash=resp.request_hash)
+        with pytest.raises(BadSignature):
+            ra_route_response(ra, forged)
+        assert ra.pending.keys() == {resp.request_hash}
+        ee_id, routed, ra = ra_route_response(ra, resp)
+        assert ee_id == "voter-0"
+        assert routed == resp
+        assert not ra.pending
+
 
 class TestEeFinalization:
     def test_requires_pending_secrets(self, drng):
@@ -391,6 +412,21 @@ class TestEeFinalization:
                       request_hash=request_hash)
         with pytest.raises(EnvelopeFailure, match="z payload"):
             ee_process_response(ee, resp, setup.ca_keys.public, NOW)
+
+    def test_preexisting_kind_certificate_refused(self, monkeypatch):
+        # a CA that certifies K as `preexisting` gives a credential that
+        # verify_ballot refuses, so finalizing must refuse it too
+        issue = actors.issue_certificate
+
+        def spy(*args):
+            *head, kind, rng = args
+            assert kind == KIND_ANONYMOUS
+            return issue(*head, KIND_PREEXISTING, rng)
+
+        monkeypatch.setattr(actors, "issue_certificate", spy)
+        setup = Setup()
+        with pytest.raises(BadCertificate):
+            setup.run_flow()
 
     def test_secrets_cleared_after_success(self):
         setup = Setup()

@@ -74,14 +74,17 @@ def make_request(params, issuer, rng, details=None):
 class TestIssuance:
     def test_issue_and_verify(self, brainpool, issuer, drng):
         _, cert = make_cert(brainpool, issuer, drng)
-        assert verify_certificate(cert, issuer.public, NOW)
+        assert verify_certificate(cert, issuer.public, NOW, KIND_PREEXISTING)
+        assert not verify_certificate(cert, issuer.public, NOW, KIND_ANONYMOUS)
 
     def test_anonymous_cert_for_expanded_key(self, brainpool, issuer, drng):
         holder = generate_keypair(brainpool, drng)
         cert = issue_certificate(issuer.private, "CA", "", holder.public,
                                  VALIDITY, KIND_ANONYMOUS, drng)
         assert cert.subject == ""
-        assert verify_certificate(cert, issuer.public, NOW)
+        assert verify_certificate(cert, issuer.public, NOW, KIND_ANONYMOUS)
+        assert not verify_certificate(cert, issuer.public, NOW,
+                                      KIND_PREEXISTING)
 
     def test_anonymous_with_subject_rejected(self, brainpool, issuer, drng):
         holder = generate_keypair(brainpool, drng)
@@ -105,19 +108,20 @@ class TestIssuance:
         _, cert = make_cert(brainpool, issuer, drng)
         other = generate_keypair(brainpool, drng)
         forged = dataclasses.replace(cert, public_key=other.public)
-        assert not verify_certificate(forged, issuer.public, NOW)
+        assert not verify_certificate(forged, issuer.public, NOW,
+                                      KIND_PREEXISTING)
 
     def test_expiry(self, brainpool, issuer, drng):
         _, cert = make_cert(brainpool, issuer, drng)
         assert not verify_certificate(cert, issuer.public,
-                                      VALIDITY[1] + 1)
+                                      VALIDITY[1] + 1, KIND_PREEXISTING)
         assert not verify_certificate(cert, issuer.public,
-                                      VALIDITY[0] - 1)
+                                      VALIDITY[0] - 1, KIND_PREEXISTING)
 
     def test_wrong_issuer(self, brainpool, issuer, drng):
         _, cert = make_cert(brainpool, issuer, drng)
         other = generate_keypair(brainpool, drng)
-        assert not verify_certificate(cert, other.public, NOW)
+        assert not verify_certificate(cert, other.public, NOW, KIND_PREEXISTING)
 
     def test_subject_key_of_another_curve_rejected(self, brainpool, secp,
                                                    drng):
@@ -136,9 +140,11 @@ class TestIssuance:
                                                   issuer, drng):
         _, cert = make_cert(brainpool, issuer, drng)
         secp_issuer = generate_keypair(secp, drng)
-        assert not verify_certificate(cert, secp_issuer.public, NOW)
+        assert not verify_certificate(cert, secp_issuer.public, NOW,
+                                      KIND_PREEXISTING)
         relabeled = dataclasses.replace(cert, curve_id=SECP256R1)
-        assert not verify_certificate(relabeled, issuer.public, NOW)
+        assert not verify_certificate(relabeled, issuer.public, NOW,
+                                      KIND_PREEXISTING)
 
     def test_serials_unique(self, brainpool, issuer, drng):
         serials = {make_cert(brainpool, issuer, drng)[1].serial

@@ -128,7 +128,7 @@ class TestScenario:
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     # On the named curves every k*G and every ECDH runs in OpenSSL; the
-    # Python `_mul` only computes u2*Q of the seven verifications per
+    # Python `_mul` only computes u2*Q of the eight verifications per
     # voter, so no private key, blinding scalar or ECDH secret goes
     # through it.
     mul = curve._mul
@@ -144,17 +144,17 @@ def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     monkeypatch.setattr(curve, "_mul", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    assert len(in_verify) == 7 * 5
+    assert len(in_verify) == 8 * 5
     assert all(in_verify)
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     # The CA, RA and identity-root keys are derived once per run. Each
-    # voter then costs 13: the 7 u1*G of its verifications, 2 expansion
+    # voter then costs 14: the 8 u1*G of its verifications, 2 expansion
     # r*G, its own key, 2 ECIES ephemeral keys (each ECDH reuses its k*G
     # derivation) and the k*G == K check. Every signature and decryption
-    # reuses a key derived earlier (118 when each use derived its own).
+    # reuses a key derived earlier (123 when each use derived its own).
     derive = ec.derive_private_key
     calls = []
 
@@ -165,7 +165,7 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     monkeypatch.setattr(ec, "derive_private_key", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    assert len(calls) == 3 + 13 * 5
+    assert len(calls) == 3 + 14 * 5
 
 
 class TestVectors:
@@ -238,6 +238,15 @@ class TestCli:
         result = CliRunner().invoke(main, ["demo", "--seed", seed])
         assert result.exit_code == 2
         assert "--seed" in result.output
+
+    def test_nonempty_dump_dir_is_usage_error(self, tmp_path):
+        # a second run into one directory would mix its files with the first's
+        (tmp_path / "0000_EE_sent.hex").write_text("00\n")
+        result = CliRunner().invoke(
+            main, ["demo", "--voters", "1", "--dump-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "--dump-dir" in result.output
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_largest_seed_accepted(self):
         result = CliRunner().invoke(
