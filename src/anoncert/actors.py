@@ -5,6 +5,9 @@ actor mutates another's state, so a harness may run them on separate
 threads with message passing. Within one actor, steps are serialized.
 Actors keep no record of the bytes they exchange: the caller carries each
 message over the wire (`certs.encode`/`decode`) and keeps any transcript.
+Each state holds the one private key its actor uses and the public keys
+it trusts; the EE's own public key I is the one on its preexisting
+certificate.
 
 State hygiene rules enforced here: the RA holds r_RA only while the
 matching response is pending, then erases it; the CA never stores the
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .curve import (
-    KeyPair,
     Point,
     Scalar,
     expand_private,
@@ -98,7 +100,7 @@ class EeResult:
 
 @dataclass(frozen=True)
 class EeState:
-    original: KeyPair  # its curve is the EE's curve
+    private: Scalar  # i; its curve is the EE's curve
     preexisting_cert: Certificate
     secrets: Optional[EeSecrets] = None
     result: Optional[EeResult] = None
@@ -112,7 +114,7 @@ class PendingEntry:
 
 @dataclass(frozen=True)
 class RaState:
-    keypair: KeyPair
+    private: Scalar
     ca_public: Point
     identity_root: Point  # issuer key of the preexisting certificates
     eligibility: frozenset  # allowed preexisting-cert serials
@@ -122,7 +124,7 @@ class RaState:
 
 @dataclass(frozen=True)
 class CaState:
-    keypair: KeyPair
+    private: Scalar
     trusted_ra_public: Point
     request_hashes: frozenset = frozenset()  # every request answered
 
@@ -132,12 +134,12 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
                       rng: RandomSource) -> tuple[CertificateRequest, EeState]:
     if state.secrets is not None:
         raise ProtocolStateError("a request is already pending for this EE")
-    params = get_curve(state.original.private.curve_id)
+    params = get_curve(state.private.curve_id)
     r_ra = random_blinding(params, rng)
     aes_key = SymmetricKey(rng.read(32))
     r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), rng)
     s_ct = ecies_encrypt(ca_public, aes_key.key, rng)
-    req = signed(CertificateRequest, state.original.private,
+    req = signed(CertificateRequest, state.private,
                  preexisting_cert=state.preexisting_cert, r_ra_ct=r_ra_ct,
                  s_ct=s_ct, details=dict(details))
     new_state = replace(state, secrets=EeSecrets(r_ra, aes_key))
@@ -164,7 +166,7 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
         raise AlreadyServed("this certificate serial already has a request "
                             "pending or served")
     try:
-        plaintext = ecies_decrypt(state.keypair.private, req.r_ra_ct)
+        plaintext = ecies_decrypt(state.private, req.r_ra_ct)
     except AnoncertError as exc:
         raise EnvelopeFailure(f"could not open r_RA envelope: {exc}") from exc
     if len(plaintext) != 32:
@@ -177,7 +179,7 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
     temp_public = expand_public(cert.public_key, r_ra)
     details = sanitize_details(req.details)
     details[REQUEST_HASH_KEY] = req_hash.hex().upper()
-    fwd = signed(ForwardedRequest, state.keypair.private,
+    fwd = signed(ForwardedRequest, state.private,
                  curve_id=params.curve_id, temporary_public_key=temp_public,
                  s_ct=req.s_ct, details=details)
     pending = dict(state.pending)
@@ -213,11 +215,11 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     else:
         raise DegenerateResult("blinding kept degenerating; giving up")
     anon_cert = issue_certificate(
-        state.keypair.private, CA_ISSUER_NAME, "", formal_public,
+        state.private, CA_ISSUER_NAME, "", formal_public,
         validity, KIND_ANONYMOUS, rng,
     )
     try:
-        key_bytes = ecies_decrypt(state.keypair.private, fwd.s_ct)
+        key_bytes = ecies_decrypt(state.private, fwd.s_ct)
     except AnoncertError as exc:
         raise EnvelopeFailure(f"could not open AES-key envelope: {exc}") from exc
     if len(key_bytes) != 32:
@@ -227,7 +229,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
     # AAD binds the response envelope to its request hash so z cannot be
     # spliced onto another request.
     z_ct = sym_encrypt(aes_key, payload, request_hash, rng)
-    resp = signed(CertificateResponse, state.keypair.private,
+    resp = signed(CertificateResponse, state.private,
                   curve_id=params.curve_id, z_ct=z_ct,
                   request_hash=request_hash)
     return resp, replace(state,
@@ -235,7 +237,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
 
 
 def ra_route_response(state: RaState, resp: CertificateResponse
-                      ) -> tuple[str, CertificateResponse, RaState]:
+                      ) -> tuple[str, RaState]:
     if not verify(state.ca_public, tbs_bytes(resp), resp.signature):
         raise BadSignature("response not signed by the CA")
     entry = state.pending.get(resp.request_hash)
@@ -243,14 +245,14 @@ def ra_route_response(state: RaState, resp: CertificateResponse
         raise UnknownRequestHash("no pending request matches this response")
     pending = dict(state.pending)
     del pending[resp.request_hash]
-    return entry.ee_id, resp, replace(state, pending=pending)
+    return entry.ee_id, replace(state, pending=pending)
 
 
 def ee_process_response(state: EeState, resp: CertificateResponse,
                         ca_public: Point, now: int) -> EeState:
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
-    params = get_curve(state.original.private.curve_id)
+    params = get_curve(state.private.curve_id)
     if not verify(ca_public, tbs_bytes(resp), resp.signature):
         raise BadSignature("response not signed by the CA")
     try:
@@ -263,7 +265,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     except MalformedEncoding as exc:
         raise EnvelopeFailure(f"bad z payload: {exc}") from exc
     r_ca = Scalar.from_bytes(r_ca_bytes, params.curve_id)
-    temp_private = expand_private(state.original.private, state.secrets.r_ra)
+    temp_private = expand_private(state.private, state.secrets.r_ra)
     formal_private = expand_private(temp_private, r_ca)
     if scalar_mul(formal_private, params.g) != anon_cert.public_key:
         raise KeyMismatch("formal private key does not match certificate key")

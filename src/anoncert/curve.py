@@ -12,12 +12,13 @@ operand, take a `CurveParams`. What a key costs to set up is computed
 once and cached on the key object, never in a module-level table, so it
 lives and dies with that object.
 
-On the named curves, k*G (key generation, key expansion, the end entity's
-k*G == K check and the u1*G of ECDSA verification) runs in OpenSSL
-through `cryptography`, as do ECDH and signing in `envelope`. Each
-`Scalar` keeps the OpenSSL private key it derives (`Scalar.openssl_key`)
-for as long as the `Scalar` lives, so a long-lived authority key is
-derived once, and dropping the `Scalar` drops the OpenSSL key with it.
+On the named curves, those with a `CurveParams.openssl_curve`, k*G (key
+generation, key expansion, the end entity's k*G == K check and the u1*G
+of ECDSA verification) runs in OpenSSL through `cryptography`, as do
+ECDH and signing in `envelope`. Each `Scalar` keeps the OpenSSL private
+key it derives (`Scalar.openssl_key`) for as long as the `Scalar` lives,
+so a long-lived authority key is derived once, and dropping the `Scalar`
+drops the OpenSSL key with it.
 
 Every other k*P is `_mul`, a Lim-Lee comb over a table of 63 multiples
 of P cached on the `Point` (`Point.comb_table`): all k*P on the toy
@@ -125,13 +126,13 @@ class Scalar:
         derived on first use and kept for the object's lifetime. Raises
         `UnknownCurve` on the toy curve and `InvalidKey` when value mod n
         is 0."""
-        curve = OPENSSL_CURVES.get(self.curve_id)
-        if curve is None:
+        params = get_curve(self.curve_id)
+        if params.openssl_curve is None:
             raise UnknownCurve(f"no OpenSSL backend for curve {self.curve_id!r}")
-        k = self.value % get_curve(self.curve_id).n
+        k = self.value % params.n
         if k == 0:
             raise InvalidKey("a zero scalar has no private key")
-        return ec.derive_private_key(k, curve)
+        return ec.derive_private_key(k, params.openssl_curve)
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,9 @@ class CurveParams:
     gy: int
     n: int
     h: int
+    # computes k*G, ECDH and signatures on a named curve; None on the toy
+    # curve. One instance per curve: these objects compare by identity.
+    openssl_curve: Optional[ec.EllipticCurve]
 
     @property
     def g(self) -> Point:
@@ -170,6 +174,7 @@ _BRAINPOOL = CurveParams(
     gy=_hex("547EF835C3DAC4FD97F8461A14611DC9C27745132DED8E545C1D54C72F046997"),
     n=_hex("A9FB57DBA1EEA9BC3E660A909D838D718C397AA3B561A6F7901E0E82974856A7"),
     h=1,
+    openssl_curve=ec.BrainpoolP256R1(),
 )
 
 # RFC 5480 / SEC 2 parameters (NIST P-256).
@@ -182,24 +187,17 @@ _SECP256R1 = CurveParams(
     gy=_hex("4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5"),
     n=_hex("FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551"),
     h=1,
+    openssl_curve=ec.SECP256R1(),
 )
 
-_TOY = CurveParams(curve_id=TOY, p=17, a=2, b=2, gx=5, gy=1, n=19, h=1)
+_TOY = CurveParams(curve_id=TOY, p=17, a=2, b=2, gx=5, gy=1, n=19, h=1,
+                   openssl_curve=None)
 
 CURVES = {
     BRAINPOOL_P256R1: _BRAINPOOL,
     SECP256R1: _SECP256R1,
     TOY: _TOY,
 }
-
-# The named curves, which the protocol runs on, and their `cryptography`
-# counterparts, which compute k*G, ECDH and signatures on them. The toy
-# curve has none: it only checks the group arithmetic against the oracle.
-OPENSSL_CURVES = {
-    BRAINPOOL_P256R1: ec.BrainpoolP256R1(),
-    SECP256R1: ec.SECP256R1(),
-}
-
 
 def get_curve(curve_id: str) -> CurveParams:
     try:
@@ -308,8 +306,7 @@ def scalar_mul(k: Scalar, P: Point) -> Point:
     `_mul` does."""
     params = curve_of(k, P)
     _require_on_curve(P)
-    if (params.curve_id not in OPENSSL_CURVES
-            or P.x != params.gx or P.y != params.gy):
+    if params.openssl_curve is None or P.x != params.gx or P.y != params.gy:
         return _mul(k.value, P)
     if k.value % params.n == 0:  # OpenSSL refuses a zero private key
         return Point.infinity(params.curve_id)

@@ -2,7 +2,8 @@
 
 ECIES here is ECDH on the protocol curve, then HKDF-SHA256 (RFC 5869) and
 AES-256-GCM with a zero nonce (every derived key is single-use).
-Symmetric envelopes are AES-256-GCM with a random 12-byte nonce.
+Symmetric envelopes are AES-256-GCM with a random 12-byte nonce. Both
+ciphertexts keep the bytes AES-GCM returns, its 16-byte tag included.
 Signatures are ECDSA over SHA-256 with deterministic RFC 6979 nonces, so
 repeated signing is reproducible. No function here takes a curve: each
 runs on the curve its keys are tagged with. OpenSSL, through
@@ -62,18 +63,16 @@ _ZERO_NONCE = b"\x00" * NONCE_LEN
 @dataclass(frozen=True)
 class EciesCiphertext:
     ephemeral_public: Point
-    body: bytes
-    tag: bytes
+    sealed: bytes
 
     def to_bytes(self) -> bytes:
-        return self.ephemeral_public.to_bytes() + self.body + self.tag
+        return self.ephemeral_public.to_bytes() + self.sealed
 
     @classmethod
     def from_bytes(cls, data: bytes, curve_id: str) -> "EciesCiphertext":
         if len(data) < 64 + TAG_LEN:
             raise ValueError("ECIES ciphertext too short")
-        return cls(Point.from_bytes(data[:64], curve_id),
-                   data[64:-TAG_LEN], data[-TAG_LEN:])
+        return cls(Point.from_bytes(data[:64], curve_id), data[64:])
 
 
 @dataclass(frozen=True)
@@ -88,17 +87,16 @@ class SymmetricKey:
 @dataclass(frozen=True)
 class SymmetricCiphertext:
     nonce: bytes
-    body: bytes
-    tag: bytes
+    sealed: bytes
 
     def to_bytes(self) -> bytes:
-        return self.nonce + self.body + self.tag
+        return self.nonce + self.sealed
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SymmetricCiphertext":
         if len(data) < NONCE_LEN + TAG_LEN:
             raise ValueError("symmetric ciphertext too short")
-        return cls(data[:NONCE_LEN], data[NONCE_LEN:-TAG_LEN], data[-TAG_LEN:])
+        return cls(data[:NONCE_LEN], data[NONCE_LEN:])
 
 
 @dataclass(frozen=True)
@@ -147,8 +145,8 @@ def ecies_encrypt(recipient_public: Point, plaintext: bytes,
         raise InvalidRecipientKey("recipient key off-curve or identity")
     eph = generate_keypair(curve_of(recipient_public), rng)
     key = _ecdh_key(eph.private, recipient_public, InvalidRecipientKey)
-    sealed = AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None)
-    return EciesCiphertext(eph.public, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
+    return EciesCiphertext(eph.public,
+                           AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None))
 
 
 def ecies_decrypt(recipient_private: Scalar, ct: EciesCiphertext) -> bytes:
@@ -159,7 +157,7 @@ def ecies_decrypt(recipient_private: Scalar, ct: EciesCiphertext) -> bytes:
         raise InvalidEphemeralKey("ephemeral key off-curve or identity")
     key = _ecdh_key(recipient_private, eph, InvalidEphemeralKey)
     try:
-        return AESGCM(key).decrypt(_ZERO_NONCE, ct.body + ct.tag, None)
+        return AESGCM(key).decrypt(_ZERO_NONCE, ct.sealed, None)
     except InvalidTag:
         raise AuthenticationFailure("ECIES tag check failed") from None
 
@@ -167,13 +165,13 @@ def ecies_decrypt(recipient_private: Scalar, ct: EciesCiphertext) -> bytes:
 def sym_encrypt(key: SymmetricKey, plaintext: bytes, aad: bytes,
                 rng: RandomSource) -> SymmetricCiphertext:
     nonce = rng.read(NONCE_LEN)
-    sealed = AESGCM(key.key).encrypt(nonce, plaintext, aad)
-    return SymmetricCiphertext(nonce, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
+    return SymmetricCiphertext(nonce,
+                               AESGCM(key.key).encrypt(nonce, plaintext, aad))
 
 
 def sym_decrypt(key: SymmetricKey, ct: SymmetricCiphertext, aad: bytes) -> bytes:
     try:
-        return AESGCM(key.key).decrypt(ct.nonce, ct.body + ct.tag, aad)
+        return AESGCM(key.key).decrypt(ct.nonce, ct.sealed, aad)
     except InvalidTag:
         raise AuthenticationFailure("AEAD tag check failed") from None
 

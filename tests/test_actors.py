@@ -89,10 +89,10 @@ class Setup:
         cert = issue_certificate(self.identity.private, "IdentityRoot",
                                  "voter-0", ee_keys.public, VALIDITY,
                                  KIND_PREEXISTING, rng)
-        self.ee = EeState(ee_keys, cert)
-        self.ra = RaState(self.ra_keys, self.ca_keys.public,
+        self.ee = EeState(ee_keys.private, cert)
+        self.ra = RaState(self.ra_keys.private, self.ca_keys.public,
                           self.identity.public, frozenset({cert.serial}))
-        self.ca = CaState(self.ca_keys, self.ra_keys.public)
+        self.ca = CaState(self.ca_keys.private, self.ra_keys.public)
         self.rng = rng
 
     def run_flow(self, ee_rng=None, ca_rng=None, details=None):
@@ -104,7 +104,7 @@ class Setup:
                                          self.ca_keys.public, details, ee_rng)
         fwd, self.ra = ra_process_request(self.ra, req, "voter-0", NOW)
         resp, self.ca = ca_process_request(self.ca, fwd, VALIDITY, ca_rng)
-        ee_id, resp, self.ra = ra_route_response(self.ra, resp)
+        ee_id, self.ra = ra_route_response(self.ra, resp)
         self.ee = ee_process_response(self.ee, resp, self.ca_keys.public, NOW)
         return req, fwd, resp, ee_id
 
@@ -140,7 +140,7 @@ class TestEeRequest:
         setup = Setup()
         req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
                                     setup.ca_keys.public, {}, drng)
-        assert verify(setup.ee.original.public, request_tbs_bytes(req),
+        assert verify(setup.ee.preexisting_cert.public_key, request_tbs_bytes(req),
                       req.signature)
         assert ee.secrets is not None
 
@@ -189,7 +189,7 @@ class TestRaProcessing:
                       issuer="IdentityRoot", curve_id=setup.params.curve_id,
                       public_key=attacker.public, not_before=validity[0],
                       not_after=validity[1], kind=kind)
-        forged = EeState(attacker, cert)
+        forged = EeState(attacker.private, cert)
         req, _ = ee_create_request(forged, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
         with pytest.raises(BadCertificate):
@@ -211,7 +211,7 @@ class TestRaProcessing:
                                    setup.ca_keys.public, {"name": "x"}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         blob = encode(fwd)
-        assert setup.ee.original.public.to_bytes() not in blob
+        assert setup.ee.preexisting_cert.public_key.to_bytes() not in blob
         assert setup.ee.preexisting_cert.serial not in blob
 
     def test_duplicate_request_rejected(self, drng):
@@ -225,7 +225,7 @@ class TestRaProcessing:
     def test_degenerate_blinding_rejected_to_ee(self, scripted_rng):
         setup = Setup()
         # r_RA = n - i makes J the identity, which the RA cannot fix
-        r_ra = (setup.params.n - setup.ee.original.private.value)
+        r_ra = (setup.params.n - setup.ee.private.value)
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {},
                                    scripted_rng([r_ra.to_bytes(32, "big")]))
@@ -329,9 +329,8 @@ class TestRouting:
                                     setup.ca_keys.public, {}, drng)
         fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
-        ee_id, routed, ra = ra_route_response(ra, resp)
+        ee_id, ra = ra_route_response(ra, resp)
         assert ee_id == "voter-0"
-        assert routed == resp
         assert not ra.pending
         with pytest.raises(UnknownRequestHash):
             ra_route_response(ra, resp)
@@ -360,9 +359,8 @@ class TestRouting:
         with pytest.raises(BadSignature):
             ra_route_response(ra, forged)
         assert ra.pending.keys() == {resp.request_hash}
-        ee_id, routed, ra = ra_route_response(ra, resp)
+        ee_id, ra = ra_route_response(ra, resp)
         assert ee_id == "voter-0"
-        assert routed == resp
         assert not ra.pending
 
 
@@ -468,7 +466,7 @@ class TestBallots:
         setup = Setup()
         setup.run_flow()
         unsigned = Ballot(b"alice", setup.ee.result.anon_cert, None)
-        sig = ecdsa_sign(setup.ee.original.private,
+        sig = ecdsa_sign(setup.ee.private,
                          ballot_tbs_bytes(unsigned))
         forged = dataclasses.replace(unsigned, signature=sig)
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)
@@ -479,7 +477,7 @@ class TestBallots:
         setup = Setup()
         setup.run_flow()
         unsigned = Ballot(b"alice", setup.ee.preexisting_cert, None)
-        sig = ecdsa_sign(setup.ee.original.private,
+        sig = ecdsa_sign(setup.ee.private,
                          ballot_tbs_bytes(unsigned))
         forged = dataclasses.replace(unsigned, signature=sig)
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)

@@ -372,3 +372,12 @@ class TestCurveParams:
     def test_toy_group_order(self, toy):
         assert len(enumerate_group(toy.p, toy.a, toy.b)) == toy.n
         assert enumerate_group()[0] == INF
+
+    def test_openssl_curve_of_each_named_curve(self):
+        # the curve table is the one record of which curves OpenSSL runs:
+        # the CLI offers exactly those, and the toy curve is not one
+        from anoncert.cli import NAMED_CURVES
+        assert NAMED_CURVES == [BRAINPOOL_P256R1, SECP256R1]
+        for curve_id in NAMED_CURVES:
+            assert get_curve(curve_id).openssl_curve.name == curve_id
+        assert get_curve(TOY).openssl_curve is None

@@ -57,6 +57,23 @@ class TestScenario:
         with pytest.raises(UnknownCurve):
             ScenarioConfig(TOY, 6, 1)
 
+    def test_dump_path_that_is_a_file_refused_before_any_work(
+            self, monkeypatch, tmp_path):
+        # the dump would fail only after the whole run had been spent
+        made, keygen = [], harness.generate_keypair
+
+        def spy(params, rng):
+            made.append(params.curve_id)
+            return keygen(params, rng)
+
+        monkeypatch.setattr(harness, "generate_keypair", spy)
+        path = tmp_path / "transcript"
+        path.write_text("not a directory\n")
+        with pytest.raises(ValueError):
+            run_scenario(ScenarioConfig(SECP256R1, 3, 7), dump_dir=path)
+        assert made == []
+        assert path.read_text() == "not a directory\n"
+
     def test_invariant_uses_the_drawn_r_ra(self, monkeypatch):
         # j one too high and k right: the voter still gets a working
         # (k, K), and only the r_RA the EE drew shows that j != i + r_RA.
@@ -96,23 +113,24 @@ class TestScenario:
         # hop, never the sender's own object
         sent, received = [], []
 
-        def spy(name, received_at, sent_at):
+        def spy(name, received_at, sent_of):
             step = getattr(harness, name)
 
             def wrapped(*args):
                 if received_at is not None:
                     received.append(args[received_at])
                 out = step(*args)
-                if sent_at is not None:
-                    sent.append(out[sent_at])
+                if sent_of is not None:
+                    sent.append(sent_of(args, out))
                 return out
 
             monkeypatch.setattr(harness, name, wrapped)
 
-        spy("ee_create_request", None, 0)
-        spy("ra_process_request", 1, 0)
-        spy("ca_process_request", 1, 0)
-        spy("ra_route_response", 1, 1)
+        spy("ee_create_request", None, lambda args, out: out[0])
+        spy("ra_process_request", 1, lambda args, out: out[0])
+        spy("ca_process_request", 1, lambda args, out: out[0])
+        # the RA passes on the response it was handed
+        spy("ra_route_response", 1, lambda args, out: args[1])
         spy("ee_process_response", 1, None)
         report = run_scenario(ScenarioConfig(SECP256R1, 1, 7), dump_dir=tmp_path)
         assert report.successes == 1
