@@ -54,7 +54,6 @@ from .certs import (
     verify_certificate,
 )
 from .envelope import (
-    AuthenticationFailure,
     SymmetricKey,
     digest,
     ecies_decrypt,
@@ -66,6 +65,7 @@ from .envelope import (
 from .errors import (
     AlreadyServed,
     AnoncertError,
+    AuthenticationFailure,
     BadCertificate,
     BadSignature,
     DegenerateResult,
@@ -205,6 +205,15 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
         raise MalformedEncoding("RA request hash is not 32 bytes")
     if request_hash in state.request_hashes:
         raise DuplicateRequest("a response for this request hash was issued")
+    # open s before drawing r_CA, so no certificate is signed for a request
+    # the CA cannot answer
+    try:
+        key_bytes = ecies_decrypt(state.private, fwd.s_ct)
+    except AnoncertError as exc:
+        raise EnvelopeFailure(f"could not open AES-key envelope: {exc}") from exc
+    if len(key_bytes) != 32:
+        raise EnvelopeFailure("AES key plaintext is not 32 bytes")
+    aes_key = SymmetricKey(key_bytes)
     for attempt in range(MAX_BLINDING_RETRIES):
         r_ca = random_blinding(params, rng)
         try:
@@ -218,13 +227,6 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
         state.private, CA_ISSUER_NAME, "", formal_public,
         validity, KIND_ANONYMOUS, rng,
     )
-    try:
-        key_bytes = ecies_decrypt(state.private, fwd.s_ct)
-    except AnoncertError as exc:
-        raise EnvelopeFailure(f"could not open AES-key envelope: {exc}") from exc
-    if len(key_bytes) != 32:
-        raise EnvelopeFailure("AES key plaintext is not 32 bytes")
-    aes_key = SymmetricKey(key_bytes)
     payload = pack(Z_PAYLOAD, (anon_cert, r_ca.to_bytes()))
     # AAD binds the response envelope to its request hash so z cannot be
     # spliced onto another request.

@@ -351,11 +351,6 @@ def _mul(k_val: int, P: Point) -> Point:
     return _jac_to_affine(acc, p, params.curve_id)
 
 
-def scalar_add_mod_n(x: Scalar, r: Scalar) -> Scalar:
-    params = curve_of(x, r)
-    return Scalar(params.curve_id, (x.value + r.value) % params.n)
-
-
 def generate_keypair(params: CurveParams, rng: RandomSource) -> KeyPair:
     private = Scalar(params.curve_id, random_int_in_range(rng, params.n))
     public = scalar_mul(private, params.g)
@@ -383,10 +378,10 @@ def expand_private(x: Scalar, r: Scalar) -> Scalar:
         raise BlindingOutOfRange(f"private scalar {x.value} outside [1, n-1]")
     if not (1 <= r.value <= params.n - 1):
         raise BlindingOutOfRange(f"blinding scalar {r.value} outside [1, n-1]")
-    out = scalar_add_mod_n(x, r)
-    if out.value == 0:
+    out = (x.value + r.value) % params.n
+    if out == 0:
         raise DegenerateResult("expanded private key is zero; resample r")
-    return out
+    return Scalar(params.curve_id, out)
 
 
 def random_blinding(params: CurveParams, rng: RandomSource) -> Scalar:

@@ -35,7 +35,7 @@ from .actors import (
 )
 from .certs import KIND_PREEXISTING, decode, encode, issue_certificate
 from .curve import Scalar, generate_keypair, get_curve
-from .errors import AnoncertError, UnknownCurve
+from .errors import AnoncertError, BadSignature, UnknownCurve
 from .rng import DeterministicRng
 
 SIMULATION_TIME = 1_750_000_000  # fixed clock keeps runs reproducible
@@ -190,8 +190,10 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             choice = cfg.candidate_list[
                 int.from_bytes(rng.read(4), "big") % len(cfg.candidate_list)]
             ballot = sign_ballot(ee, choice.encode())
+            # the EE's finalize has just verified this certificate under
+            # this CA key at this time, so only the ballot signature can fail
             if not verify_ballot(ballot, ca_keys.public, SIMULATION_TIME):
-                raise AnoncertError("ballot failed verification")
+                raise BadSignature("ballot failed verification")
             outcome.invariant_ok = (result.temporary_private.value
                                     == (i + r_ra.value) % params.n)
             outcome.candidate = choice

@@ -6,6 +6,7 @@ from anoncert import actors
 from anoncert.actors import (
     CaState,
     EeState,
+    MAX_BLINDING_RETRIES,
     RaState,
     REQUEST_HASH_KEY,
     ca_process_request,
@@ -22,6 +23,7 @@ from anoncert.certs import (
     Z_PAYLOAD,
     Ballot,
     Certificate,
+    CertificateRequest,
     CertificateResponse,
     ForwardedRequest,
     decode,
@@ -31,7 +33,7 @@ from anoncert.certs import (
     signed,
 )
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Scalar, get_curve, generate_keypair, scalar_mul
-from anoncert.envelope import SymmetricKey, sym_encrypt
+from anoncert.envelope import SymmetricKey, ecies_encrypt, sym_encrypt
 from anoncert.errors import (
     AlreadyServed,
     BadCertificate,
@@ -107,6 +109,15 @@ class Setup:
         ee_id, self.ra = ra_route_response(self.ra, resp)
         self.ee = ee_process_response(self.ee, resp, self.ca_keys.public, NOW)
         return req, fwd, resp, ee_id
+
+
+def ra_signed(setup, fwd, **changes):
+    """`fwd` with `changes`, signed again by the trusted RA."""
+    fields = dict(curve_id=fwd.curve_id,
+                  temporary_public_key=fwd.temporary_public_key,
+                  s_ct=fwd.s_ct, details=fwd.details)
+    return signed(ForwardedRequest, setup.ra_keys.private,
+                  **{**fields, **changes})
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
@@ -232,6 +243,27 @@ class TestRaProcessing:
         with pytest.raises(DegenerateResult):
             ra_process_request(setup.ra, req, "voter-0", NOW)
 
+    @pytest.mark.parametrize("recipient, plaintext, message", [
+        ("ca", lambda n: (1).to_bytes(32, "big"), "could not open"),
+        ("ra", lambda n: b"\x01" * 31, "32-byte"),
+        ("ra", lambda n: bytes(32), "outside"),
+        ("ra", lambda n: n.to_bytes(32, "big"), "outside"),
+    ], ids=["sealed-to-ca", "31-bytes", "zero", "n"])
+    def test_unusable_r_ra_envelope(self, drng, recipient, plaintext,
+                                    message):
+        # an EE-signed request whose r_RA envelope gives the RA no r_RA
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        public = {"ca": setup.ca_keys.public,
+                  "ra": setup.ra_keys.public}[recipient]
+        r_ra_ct = ecies_encrypt(public, plaintext(setup.params.n), drng)
+        forged = signed(CertificateRequest, setup.ee.private,
+                        preexisting_cert=req.preexisting_cert,
+                        r_ra_ct=r_ra_ct, s_ct=req.s_ct, details=req.details)
+        with pytest.raises(EnvelopeFailure, match=message):
+            ra_process_request(setup.ra, forged, "voter-0", NOW)
+
     def test_unknown_curve_is_typed(self, drng):
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
@@ -290,13 +322,83 @@ class TestCaProcessing:
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        forged = signed(ForwardedRequest, setup.ra_keys.private,
-                        curve_id=fwd.curve_id,
-                        temporary_public_key=fwd.temporary_public_key,
-                        s_ct=fwd.s_ct,
-                        details={**fwd.details, REQUEST_HASH_KEY: hash_hex})
+        forged = ra_signed(setup, fwd,
+                           details={**fwd.details, REQUEST_HASH_KEY: hash_hex})
         with pytest.raises(MalformedEncoding):
             ca_process_request(setup.ca, forged, VALIDITY, drng)
+
+    def test_missing_request_hash(self, drng):
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        details = dict(fwd.details)
+        del details[REQUEST_HASH_KEY]
+        with pytest.raises(ProtocolStateError):
+            ca_process_request(setup.ca, ra_signed(setup, fwd, details=details),
+                               VALIDITY, drng)
+
+    @pytest.mark.parametrize("recipient, key_len, message", [
+        ("ra", 32, "could not open"),
+        ("ca", 16, "not 32 bytes"),
+    ], ids=["sealed-to-ra", "16-byte-key"])
+    def test_unusable_aes_key_envelope(self, drng, monkeypatch, recipient,
+                                       key_len, message):
+        # the CA refuses before it signs a certificate it could not send
+        issued, issue = [], actors.issue_certificate
+
+        def spy(*args):
+            issued.append(args)
+            return issue(*args)
+
+        monkeypatch.setattr(actors, "issue_certificate", spy)
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        public = {"ca": setup.ca_keys.public,
+                  "ra": setup.ra_keys.public}[recipient]
+        s_ct = ecies_encrypt(public, drng.read(key_len), drng)
+        with pytest.raises(EnvelopeFailure, match=message):
+            ca_process_request(setup.ca, ra_signed(setup, fwd, s_ct=s_ct),
+                               VALIDITY, drng)
+        assert issued == []
+
+    def test_degenerate_blinding_redrawn(self, drng, monkeypatch):
+        setup = Setup()
+        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
+                                    setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        draws, expand = [], actors.expand_public
+
+        def degenerate_once(P, r):
+            draws.append(r)
+            if len(draws) == 1:
+                raise DegenerateResult("forced")
+            return expand(P, r)
+
+        monkeypatch.setattr(actors, "expand_public", degenerate_once)
+        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        ee = ee_process_response(ee, resp, setup.ca_keys.public, NOW)
+        assert len(draws) == 2 and draws[0] != draws[1]
+        assert ee.result.anon_cert.public_key == \
+            expand(fwd.temporary_public_key, draws[1])
+
+    def test_degenerate_blinding_gives_up(self, drng, monkeypatch):
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        draws = []
+
+        def degenerate(P, r):
+            draws.append(r)
+            raise DegenerateResult("forced")
+
+        monkeypatch.setattr(actors, "expand_public", degenerate)
+        with pytest.raises(DegenerateResult, match="giving up"):
+            ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        assert len(draws) == MAX_BLINDING_RETRIES
 
     def test_replayed_request_refused(self, drng):
         setup = Setup()
@@ -373,6 +475,34 @@ class TestEeFinalization:
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         with pytest.raises(ProtocolStateError):
             ee_process_response(setup.ee, resp, setup.ca_keys.public, NOW)
+
+    def test_stranger_signed_response_keeps_secrets(self, drng):
+        # the EE refuses a response the CA did not sign and can still
+        # finalize with the CA's own
+        setup = Setup()
+        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
+                                    setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        stranger = generate_keypair(setup.params, drng)
+        forged = signed(CertificateResponse, stranger.private,
+                        curve_id=resp.curve_id, z_ct=resp.z_ct,
+                        request_hash=resp.request_hash)
+        with pytest.raises(BadSignature):
+            ee_process_response(ee, forged, setup.ca_keys.public, NOW)
+        done = ee_process_response(ee, resp, setup.ca_keys.public, NOW)
+        assert done.result is not None
+
+    def test_wrong_private_expansion_is_key_mismatch(self, monkeypatch):
+        n = get_curve(BRAINPOOL_P256R1).n
+
+        def skewed(x, r):
+            return Scalar(x.curve_id, (x.value + r.value + 1) % n)
+
+        monkeypatch.setattr(actors, "expand_private", skewed)
+        setup = Setup()
+        with pytest.raises(KeyMismatch):
+            setup.run_flow()
 
     def test_wrong_aes_key_is_envelope_failure(self, drng):
         setup = Setup()

@@ -19,7 +19,6 @@ from anoncert.curve import (
     get_curve,
     is_on_curve,
     point_add,
-    scalar_add_mod_n,
     scalar_mul,
     _mul,
 )
@@ -216,23 +215,6 @@ class TestVariableBase:
         assert "comb_table" not in vars(dataclasses.replace(P))
 
 
-class TestScalarAdd:
-    def test_published_j(self, brainpool):
-        i = Scalar(brainpool.curve_id, I_PRIV)
-        r = Scalar(brainpool.curve_id, R_RA % brainpool.n)
-        assert scalar_add_mod_n(i, r).value == J_SCALAR
-
-    def test_additive_identity(self, brainpool):
-        x = Scalar(brainpool.curve_id, 12345)
-        zero = Scalar(brainpool.curve_id, 0)
-        assert scalar_add_mod_n(x, zero) == x
-
-    def test_wraparound(self, named_curve):
-        a = Scalar(named_curve.curve_id, named_curve.n - 1)
-        b = Scalar(named_curve.curve_id, 1)
-        assert scalar_add_mod_n(a, b).value == 0
-
-
 class TestGenerateKeypair:
     def test_seeded_reproduces_published_pair(self, brainpool, scripted_rng):
         rng = scripted_rng([I_PRIV.to_bytes(32, "big")])
@@ -271,6 +253,11 @@ class TestExpansion:
         K = expand_public(J, r)
         assert (K.x, K.y) == K_PUB
 
+    def test_published_temporary_private(self, brainpool):
+        i = Scalar(brainpool.curve_id, I_PRIV)
+        r = Scalar(brainpool.curve_id, R_RA % brainpool.n)
+        assert expand_private(i, r).value == J_SCALAR
+
     def test_published_formal_private(self, brainpool):
         j = Scalar(brainpool.curve_id, J_SCALAR)
         r = Scalar(brainpool.curve_id, R_CA)
@@ -286,10 +273,13 @@ class TestExpansion:
 
     def test_blinding_range_enforced(self, brainpool):
         I = Point(brainpool.curve_id, *I_PUB)
-        with pytest.raises(BlindingOutOfRange):
-            expand_public(I, Scalar(brainpool.curve_id, 0))
-        with pytest.raises(BlindingOutOfRange):
-            expand_public(I, Scalar(brainpool.curve_id, brainpool.n))
+        i = Scalar(brainpool.curve_id, I_PRIV)
+        for value in (0, brainpool.n):
+            r = Scalar(brainpool.curve_id, value)
+            with pytest.raises(BlindingOutOfRange):
+                expand_public(I, r)
+            with pytest.raises(BlindingOutOfRange):
+                expand_private(i, r)
 
     def test_operand_disagreement(self, brainpool):
         I = Point(brainpool.curve_id, *I_PUB)
@@ -301,8 +291,6 @@ class TestExpansion:
             expand_private(x, r)
         with pytest.raises(CurveMismatch):
             expand_private(r, x)
-        with pytest.raises(CurveMismatch):
-            scalar_add_mod_n(x, r)
 
     def test_zero_private_rejected(self, named_curve):
         x = Scalar(named_curve.curve_id, 5)

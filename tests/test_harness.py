@@ -7,11 +7,18 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from anoncert import actors, curve, envelope, harness
+from anoncert import actors, cli, curve, envelope, harness
 from anoncert.certs import encode
 from anoncert.cli import main
-from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY, Scalar, get_curve
-from anoncert.errors import UnknownCurve
+from anoncert.curve import (
+    BRAINPOOL_P256R1,
+    SECP256R1,
+    TOY,
+    Scalar,
+    get_curve,
+    scalar_mul,
+)
+from anoncert.errors import Ineligible, UnknownCurve
 from anoncert.harness import ScenarioConfig, run_scenario
 from anoncert.oracle import run_oracle_suite
 from anoncert.vectors import PUBLISHED_VECTORS, verify_published_vectors
@@ -56,6 +63,31 @@ class TestScenario:
         # report every voter's secrets as leaked across the views
         with pytest.raises(UnknownCurve):
             ScenarioConfig(TOY, 6, 1)
+
+    def test_refused_ballot_recorded_per_voter(self, monkeypatch):
+        refuse_ballot(monkeypatch, 1)
+        report = run_scenario(ScenarioConfig(SECP256R1, 3, 7))
+        assert [v.status for v in report.voters] == ["ok", "error", "ok"]
+        assert report.voters[1].error == \
+            "BadSignature: ballot failed verification"
+        assert sum(report.tally.values()) == report.successes == 2
+        assert report.assertions["ra_view_separation"]
+        assert report.assertions["ca_view_separation"]
+        assert report.assertions["all_invariants"]
+
+    def test_refused_request_does_not_stop_the_run(self, monkeypatch):
+        process = harness.ra_process_request
+
+        def refuse_first(state, req, ee_id, now):
+            if ee_id == "voter-0":
+                raise Ineligible("refused by the test")
+            return process(state, req, ee_id, now)
+
+        monkeypatch.setattr(harness, "ra_process_request", refuse_first)
+        report = run_scenario(ScenarioConfig(SECP256R1, 3, 7))
+        assert report.voters[0].error == "Ineligible: refused by the test"
+        assert [v.status for v in report.voters[1:]] == ["ok", "ok"]
+        assert report.successes == 2
 
     def test_dump_path_that_is_a_file_refused_before_any_work(
             self, monkeypatch, tmp_path):
@@ -143,6 +175,17 @@ class TestScenario:
             assert encode(to_receiver) == wire
 
 
+def refuse_ballot(monkeypatch, index):
+    """Make the harness's check of the `index`-th ballot it casts fail."""
+    verify, checked = harness.verify_ballot, []
+
+    def spy(ballot, ca_public, now):
+        checked.append(ballot)
+        return verify(ballot, ca_public, now) and len(checked) != index + 1
+
+    monkeypatch.setattr(harness, "verify_ballot", spy)
+
+
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     # On the named curves every k*G and every ECDH runs in OpenSSL; the
@@ -186,6 +229,13 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     assert len(calls) == 3 + 14 * 5
 
 
+def corrupted_brainpool_k():
+    """The published vectors with the first digit of brainpool's K.x zeroed."""
+    chain = PUBLISHED_VECTORS[BRAINPOOL_P256R1]
+    bad_k = ("0" + chain.K[0][1:], chain.K[1])
+    return {BRAINPOOL_P256R1: dataclasses.replace(chain, K=bad_k)}
+
+
 class TestVectors:
     def test_all_relations_pass(self):
         results = verify_published_vectors()
@@ -193,10 +243,7 @@ class TestVectors:
         assert all(r.passed for r in results)
 
     def test_corrupted_constant_reported_per_relation(self):
-        chain = PUBLISHED_VECTORS[BRAINPOOL_P256R1]
-        bad_k = ("0" + chain.K[0][1:], chain.K[1])
-        corrupted = {BRAINPOOL_P256R1: dataclasses.replace(chain, K=bad_k)}
-        results = verify_published_vectors(corrupted)
+        results = verify_published_vectors(corrupted_brainpool_k())
         failed = [r.relation for r in results if not r.passed]
         assert set(failed) == {"K = J + r_CA*G", "k*G = K"}
         assert sum(r.passed for r in results) == 4
@@ -228,6 +275,36 @@ class TestCli:
         assert first.exit_code == 0
         assert first.output == second.output
 
+    def test_vectors_failure_shown(self, monkeypatch):
+        corrupted = corrupted_brainpool_k()
+        monkeypatch.setattr(cli, "verify_published_vectors",
+                            lambda: verify_published_vectors(corrupted))
+        result = CliRunner().invoke(main, ["vectors"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        failed = lines.index("[FAIL] brainpoolP256r1: k*G = K")
+        assert lines[failed + 1].split() == [
+            "expected", "".join(corrupted[BRAINPOOL_P256R1].K)]
+        assert lines[failed + 2].split()[0] == "computed"
+
+    def test_demo_failure_exit_code(self, monkeypatch):
+        refuse_ballot(monkeypatch, 1)
+        result = CliRunner().invoke(main, ["demo", "--curve", SECP256R1,
+                                           "--voters", "3", "--seed", "7"])
+        assert result.exit_code == 1
+        assert "successes: 2/3" in result.output
+        assert ("  voter-1: BadSignature: ballot failed verification"
+                in result.output.splitlines())
+
+    def test_keygen_text(self):
+        result = CliRunner().invoke(main, ["keygen", "--curve", SECP256R1])
+        assert result.exit_code == 0
+        lines = [line.split() for line in result.output.splitlines()]
+        assert [line[0] for line in lines] == ["curve:", "private:", "public:"]
+        params = get_curve(lines[0][1])
+        private = Scalar(params.curve_id, int(lines[1][1], 16))
+        assert scalar_mul(private, params.g).to_hex() == lines[2][1]
+
     def test_keygen(self):
         result = CliRunner().invoke(
             main, ["keygen", "--curve", BRAINPOOL_P256R1, "--json"])
@@ -240,6 +317,15 @@ class TestCli:
         result = CliRunner().invoke(main, ["oracle"])
         assert result.exit_code == 0
         assert "[FAIL]" not in result.output
+
+    def test_oracle_json(self):
+        result = CliRunner().invoke(main, ["oracle", "--json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert all(doc[name] for name in (
+            "scalar_table_ok", "group_laws_ok", "homomorphism_ok",
+            "uniform_expansion_ok"))
+        assert doc["failures"] == []
 
     def test_usage_error_exit_code(self):
         result = CliRunner().invoke(main, ["demo", "--curve", "nope"])
