@@ -12,7 +12,9 @@ byte-scan audits.
 
 Reports are reproducible: identical config (including seed) yields
 byte-identical JSON. The report holds no wall-clock time; a caller that
-wants one times the call.
+wants one times the call. It is public output: the tally over
+`CANDIDATES` and each voter's outcome with its reason, never which voter
+chose what.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .rng import DeterministicRng
 
 SIMULATION_TIME = 1_750_000_000  # fixed clock keeps runs reproducible
 VALIDITY_WINDOW = (SIMULATION_TIME - 3600, SIMULATION_TIME + 86400)
+CANDIDATES = ("alice", "bob", "carol")
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,12 @@ class ScenarioConfig:
     curve_id: str
     num_voters: int
     rng_seed: int
-    candidate_list: tuple = ("alice", "bob", "carol")
 
     def __post_init__(self):
         if self.num_voters < 1:
             raise ValueError("num_voters must be >= 1")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must be in [0, 2**64 - 1]")
-        if not self.candidate_list:
-            raise ValueError("candidate_list must be nonempty")
         if get_curve(self.curve_id).openssl_curve is None:
             raise UnknownCurve("scenarios run on a named curve, "
                                f"not {self.curve_id!r}")
@@ -66,7 +66,6 @@ class VoterOutcome:
     ee_id: str
     status: str  # "ok" | "error"
     error: str = ""
-    candidate: str = ""
     invariant_ok: bool = False  # j == (i + r_RA) mod n; k is checked by the EE
 
 
@@ -187,8 +186,8 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
                 (f"{ee_id}.anon_serial", result.anon_cert.serial),
             ]
 
-            choice = cfg.candidate_list[
-                int.from_bytes(rng.read(4), "big") % len(cfg.candidate_list)]
+            choice = CANDIDATES[
+                int.from_bytes(rng.read(4), "big") % len(CANDIDATES)]
             ballot = sign_ballot(ee, choice.encode())
             # the EE's finalize has just verified this certificate under
             # this CA key at this time, so only the ballot signature can fail
@@ -196,7 +195,6 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
                 raise BadSignature("ballot failed verification")
             outcome.invariant_ok = (result.temporary_private.value
                                     == (i + r_ra.value) % params.n)
-            outcome.candidate = choice
             outcome.status = "ok"
             report.tally[choice] = report.tally.get(choice, 0) + 1
         except AnoncertError as exc:

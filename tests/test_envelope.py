@@ -1,6 +1,13 @@
+import functools
+
 import pytest
+from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anoncert.curve import (
     BRAINPOOL_P256R1,
@@ -9,6 +16,7 @@ from anoncert.curve import (
     Scalar,
     _mul,
     generate_keypair,
+    get_curve,
     scalar_mul,
 )
 from anoncert.envelope import (
@@ -259,6 +267,90 @@ class TestSignatures:
         for value in (0, named_curve.n, 2 ** 256 - 1):
             with pytest.raises(InvalidKey):
                 sign(Scalar(named_curve.curve_id, value), b"m")
+
+
+@functools.lru_cache(maxsize=None)
+def _signer(curve_id: str, seed: int):
+    return generate_keypair(get_curve(curve_id), DeterministicRng(seed))
+
+
+def _openssl_verdict(key: Point, message: bytes, sig: Signature) -> bool:
+    """OpenSSL's ECDSA verdict alone; a key it cannot load verifies nothing."""
+    try:
+        ec.EllipticCurvePublicNumbers(
+            key.x, key.y, get_curve(key.curve_id).openssl_curve,
+        ).public_key().verify(encode_dss_signature(sig.r.value, sig.s.value),
+                              message, ec.ECDSA(hashes.SHA256()))
+    except (ValueError, InvalidSignature):
+        return False
+    return True
+
+
+def _expected_verdict(key: Point, message: bytes, sig: Signature) -> bool:
+    """The checks OpenSSL does not make (one curve tag, a finite key with
+    canonical coordinates on its curve, 1 <= r, s <= n - 1), then OpenSSL."""
+    if not key.curve_id == sig.r.curve_id == sig.s.curve_id:
+        return False
+    params = get_curve(key.curve_id)
+    p, n = params.p, params.n
+    if key.is_infinity or not (0 <= key.x < p and 0 <= key.y < p):
+        return False
+    if (key.y ** 2 - key.x ** 3 - params.a * key.x - params.b) % p:
+        return False
+    if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
+        return False
+    return _openssl_verdict(key, message, sig)
+
+
+VERIFY_CASES = ("valid", "flip", "r", "s", "high_s", "off_curve", "identity",
+                "other_curve", "x+p", "y+p")
+
+
+class TestVerifyOracle:
+    # verify against the verdict of OpenSSL behind the Python prechecks:
+    # the reference for a verify that hands the arithmetic to OpenSSL
+    @given(curve_id=st.sampled_from([BRAINPOOL_P256R1, SECP256R1]),
+           seed=st.integers(0, 7), message=st.binary(min_size=1, max_size=32),
+           case=st.sampled_from(VERIFY_CASES), edge=st.integers(0, 5),
+           bit=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_prechecks_then_openssl(self, curve_id, seed, message,
+                                            case, edge, bit):
+        params = get_curve(curve_id)
+        p, n = params.p, params.n
+        pair = _signer(curve_id, seed)
+        key, sig = pair.public, sign(pair.private, message)
+        r, s = sig.r.value, sig.s.value
+        value = (0, 1, n - 1, n, n + 1, 2 ** 256 - 1)[edge]
+        if case == "flip":
+            message = _flip_bit(message, bit % (8 * len(message)))
+        elif case in ("r", "s", "high_s"):
+            r, s = {"r": (value, s), "s": (r, value), "high_s": (r, n - s)}[case]
+            sig = Signature(Scalar(curve_id, r), Scalar(curve_id, s))
+        elif case == "other_curve":
+            other = ({BRAINPOOL_P256R1, SECP256R1} - {curve_id}).pop()
+            sig = Signature(Scalar(other, r), Scalar(other, s))
+        elif case != "valid":
+            # an unreduced coordinate that reaches 2**256 has no wire
+            # encoding; the range check refuses it all the same
+            key = {"off_curve": Point(curve_id, key.x, (key.y + 1) % p),
+                   "identity": Point.infinity(curve_id),
+                   "x+p": Point(curve_id, key.x + p, key.y),
+                   "y+p": Point(curve_id, key.x, key.y + p)}[case]
+        assert verify(key, message, sig) is _expected_verdict(key, message, sig)
+
+    def test_openssl_alone_accepts_an_unreduced_key(self, brainpool):
+        # OpenSSL reduces a coordinate >= p without a word, so it verifies
+        # under (x + p, y) whatever verifies under (x, y); verify refuses
+        # that second encoding of the key
+        pair = _signer(BRAINPOOL_P256R1, 0)
+        assert pair.public.x + brainpool.p < 2 ** 256
+        sig = sign(pair.private, b"m")
+        unreduced = Point(BRAINPOOL_P256R1, pair.public.x + brainpool.p,
+                          pair.public.y)
+        assert _openssl_verdict(pair.public, b"m", sig)
+        assert _openssl_verdict(unreduced, b"m", sig)
+        assert verify(unreduced, b"m", sig) is False
 
 
 class TestDigest:

@@ -51,8 +51,6 @@ class TestScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(BRAINPOOL_P256R1, 0, 1)
         with pytest.raises(ValueError):
-            ScenarioConfig(BRAINPOOL_P256R1, 1, 1, candidate_list=())
-        with pytest.raises(ValueError):
             ScenarioConfig("no-such-curve", 1, 1)
         for seed in (-1, 2**64):  # the seeded generator takes a u64 seed
             with pytest.raises(ValueError):
@@ -389,9 +387,9 @@ class TestTranscriptDump:
 
     @pytest.mark.parametrize("curve_id, want", [
         (SECP256R1,
-         "c3eab6f5f0d74481e7697611c0f3b1755fea9799adda9f0a31e8c383e838b65c"),
+         "efa1f932e477b5c06a74b91d18af2d42cb9d8250a25dfd68833980e9fc3ebefc"),
         (BRAINPOOL_P256R1,
-         "a8e2be97faab50d0c8be1e2f19ef3b6b00a4aa28c08479e098607cc3d634d3dd"),
+         "b7bf43c24e22cb02f21d024f553c7022001e7f85fb22e734a0b6b19894156eb2"),
     ])
     def test_seed_77_report_golden(self, curve_id, want):
         # sha256 of the seeded 5-voter `demo --json` report
@@ -400,6 +398,22 @@ class TestTranscriptDump:
                    "--seed", "77", "--json"])
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("curve_id", [SECP256R1, BRAINPOOL_P256R1])
+    def test_seed_77_report_pairs_no_voter_with_a_choice(self, curve_id):
+        # the report is public: the tally and each voter's outcome, never
+        # which candidate a voter chose, and only the settings a caller gave
+        result = CliRunner().invoke(
+            main, ["demo", "--curve", curve_id, "--voters", "5",
+                   "--seed", "77", "--json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["config"] == {"curve_id": curve_id, "num_voters": 5,
+                                 "rng_seed": 77}
+        assert [sorted(v) for v in doc["voters"]] == \
+            [["ee_id", "error", "invariant_ok", "status"]] * 5
+        assert sum(doc["tally"].values()) == 5
+        assert set(doc["tally"]) <= set(harness.CANDIDATES)
 
     @pytest.mark.parametrize("curve_id, want", [
         (SECP256R1,

@@ -1,0 +1,81 @@
+"""Each name has one import path: the module that defines it.
+
+The scan reads every module of `src/anoncert`, `tests` and `perfbench`
+and lists each `from M import name` where M is a module of this repository
+that only imports `name` (or names it nowhere) and `name` is not a
+submodule of M.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "anoncert"
+SCANNED = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+
+
+def _source(module: str, directory: Path):
+    """The file of `module` as imported from `directory`, or None when it
+    lies outside this repository. `anoncert.*` is the package; any other
+    name is a sibling module, as `perfbench` imports `tracing`."""
+    parts = module.split(".")
+    base = (PACKAGE.joinpath(*parts[1:]) if parts[0] == "anoncert"
+            else directory.joinpath(*parts))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _defined(path: Path) -> frozenset:
+    """Names bound at module level by a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names.update(leaf.id for target in targets
+                         for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return frozenset(names)
+
+
+def _offending(tree: ast.AST, path: Path) -> list:
+    """(name, module) of each import in `tree`, the source of `path`, that
+    takes a name from a module of this repository that does not define it."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:  # relative imports occur only inside the package
+            module = ".".join(filter(None, ("anoncert", node.module)))
+        else:
+            module = node.module
+        source = _source(module, path.parent)
+        if source is None:
+            continue
+        defined = _defined(source)
+        found += [(alias.name, module) for alias in node.names
+                  if alias.name not in defined
+                  and _source(f"{module}.{alias.name}", path.parent) is None]
+    return found
+
+
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    offenders = [(str(path.relative_to(ROOT)), name, module)
+                 for directory in SCANNED
+                 for path in sorted(directory.glob("*.py"))
+                 for name, module in _offending(ast.parse(path.read_text()),
+                                                path)]
+    assert offenders == []
+
+
+def test_a_name_imported_through_another_module_is_found():
+    tree = ast.parse("from .envelope import AuthenticationFailure, verify\n"
+                     "from . import curve\n"
+                     "from cryptography.exceptions import InvalidTag\n")
+    assert _offending(tree, PACKAGE / "actors.py") == [
+        ("AuthenticationFailure", "anoncert.envelope")]
