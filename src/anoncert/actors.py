@@ -54,7 +54,6 @@ from .certs import (
     verify_certificate,
 )
 from .envelope import (
-    SymmetricKey,
     digest,
     ecies_decrypt,
     ecies_encrypt,
@@ -65,7 +64,6 @@ from .envelope import (
 from .errors import (
     AlreadyServed,
     AnoncertError,
-    AuthenticationFailure,
     BadCertificate,
     BadSignature,
     DegenerateResult,
@@ -88,7 +86,7 @@ MAX_BLINDING_RETRIES = 8
 @dataclass(frozen=True)
 class EeSecrets:
     r_ra: Scalar
-    aes_key: SymmetricKey
+    aes_key: bytes  # s, 32 bytes
 
 
 @dataclass(frozen=True)
@@ -136,9 +134,9 @@ def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
         raise ProtocolStateError("a request is already pending for this EE")
     params = get_curve(state.private.curve_id)
     r_ra = random_blinding(params, rng)
-    aes_key = SymmetricKey(rng.read(32))
+    aes_key = rng.read(32)
     r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), rng)
-    s_ct = ecies_encrypt(ca_public, aes_key.key, rng)
+    s_ct = ecies_encrypt(ca_public, aes_key, rng)
     req = signed(CertificateRequest, state.private,
                  preexisting_cert=state.preexisting_cert, r_ra_ct=r_ra_ct,
                  s_ct=s_ct, details=dict(details))
@@ -205,15 +203,14 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
         raise MalformedEncoding("RA request hash is not 32 bytes")
     if request_hash in state.request_hashes:
         raise DuplicateRequest("a response for this request hash was issued")
-    # open s before drawing r_CA, so no certificate is signed for a request
-    # the CA cannot answer
+    # open s, and check that it is a 32-byte AES key, before drawing r_CA,
+    # so no certificate is signed for a request the CA cannot answer
     try:
-        key_bytes = ecies_decrypt(state.private, fwd.s_ct)
+        aes_key = ecies_decrypt(state.private, fwd.s_ct)
     except AnoncertError as exc:
         raise EnvelopeFailure(f"could not open AES-key envelope: {exc}") from exc
-    if len(key_bytes) != 32:
+    if len(aes_key) != 32:
         raise EnvelopeFailure("AES key plaintext is not 32 bytes")
-    aes_key = SymmetricKey(key_bytes)
     for attempt in range(MAX_BLINDING_RETRIES):
         r_ca = random_blinding(params, rng)
         try:
@@ -260,7 +257,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     try:
         payload = sym_decrypt(state.secrets.aes_key, resp.z_ct,
                               resp.request_hash)
-    except AuthenticationFailure as exc:
+    except AnoncertError as exc:
         raise EnvelopeFailure(f"could not open z envelope: {exc}") from exc
     try:
         anon_cert, r_ca_bytes = unpack(Z_PAYLOAD, payload)

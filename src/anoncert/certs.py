@@ -11,6 +11,11 @@ refuses every input `b` for which `encode(decode(b)) != b` with
 `MalformedEncoding`. Hashing and signing always operate on these
 canonical bytes.
 
+The ciphertexts a message carries (a request's `r_ra_ct` and `s_ct`, a
+response's `z_ct`) are opaque `BLOB` fields: their layout is `envelope`'s
+alone, so decoding never looks inside one, and the actor that opens a
+ciphertext refuses one too short to hold its parts.
+
 A certificate's curve is its issuer key's: `issue_certificate` refuses a
 subject key tagged with another curve. `verify_certificate` refuses a
 certificate whose `curve_id` is not its issuer key's curve, or whose kind
@@ -23,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 from .curve import Point, Scalar, is_on_curve
-from .envelope import EciesCiphertext, Signature, SymmetricCiphertext, sign, verify
+from .envelope import Signature, sign, verify
 from .errors import InvalidKey, InvalidValidity, MalformedEncoding
 from .rng import RandomSource
 
@@ -50,8 +55,8 @@ class Certificate:
 @dataclass(frozen=True)
 class CertificateRequest:
     preexisting_cert: Certificate
-    r_ra_ct: EciesCiphertext
-    s_ct: EciesCiphertext
+    r_ra_ct: bytes
+    s_ct: bytes
     details: Mapping[str, str]
     signature: Signature
 
@@ -60,7 +65,7 @@ class CertificateRequest:
 class ForwardedRequest:
     curve_id: str
     temporary_public_key: Point
-    s_ct: EciesCiphertext
+    s_ct: bytes
     details: Mapping[str, str]
     signature: Signature
 
@@ -68,7 +73,7 @@ class ForwardedRequest:
 @dataclass(frozen=True)
 class CertificateResponse:
     curve_id: str
-    z_ct: SymmetricCiphertext
+    z_ct: bytes
     request_hash: bytes
     signature: Signature
 
@@ -83,7 +88,7 @@ class Ballot:
 class _Reader:
     """Reads fields from `data`. `curve_id` is the curve of the message
     being read, set by its curve_id field or by its nested certificate;
-    the points, ciphertexts and signatures after it are tagged with it."""
+    the points and signatures after it are tagged with it."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -117,12 +122,6 @@ class _Reader:
         if code >= len(_CERT_KINDS):
             raise MalformedEncoding(f"unknown kind code {code}")
         return _CERT_KINDS[code]
-
-    def ciphertext(self, field: str, parse: Callable, *args):
-        try:
-            return parse(self.var(field), *args)
-        except ValueError as exc:
-            raise MalformedEncoding(f"{field}: {exc}") from None
 
     def str_map(self, field: str) -> dict:
         out, last = {}, None
@@ -191,10 +190,6 @@ POINT = FieldKind(Point.to_bytes,
 CERT_KIND = FieldKind(_write_cert_kind, _Reader.cert_kind)
 BLOB = FieldKind(_var, _Reader.var)
 NESTED_CERT = FieldKind(lambda cert: _var(encode(cert)), _Reader.certificate)
-ECIES = FieldKind(lambda ct: _var(ct.to_bytes()), lambda r, f: r.ciphertext(
-    f, EciesCiphertext.from_bytes, r.curve_id))
-SYMMETRIC = FieldKind(lambda ct: _var(ct.to_bytes()), lambda r, f: r.ciphertext(
-    f, SymmetricCiphertext.from_bytes))
 STR_MAP = FieldKind(_write_str_map, _Reader.str_map)
 HASH = FieldKind(bytes, lambda r, f: r.take(32, f))
 SIGNATURE = FieldKind(Signature.to_bytes,
@@ -213,13 +208,13 @@ LAYOUT = {
         ("curve_id", CURVE_ID), ("public_key", POINT),
         ("not_before", U64), ("not_after", U64), ("kind", CERT_KIND))),
     CertificateRequest: Layout(0x0002, "signature", (
-        ("preexisting_cert", NESTED_CERT), ("r_ra_ct", ECIES),
-        ("s_ct", ECIES), ("details", STR_MAP))),
+        ("preexisting_cert", NESTED_CERT), ("r_ra_ct", BLOB),
+        ("s_ct", BLOB), ("details", STR_MAP))),
     ForwardedRequest: Layout(0x0003, "signature", (
         ("curve_id", CURVE_ID), ("temporary_public_key", POINT),
-        ("s_ct", ECIES), ("details", STR_MAP))),
+        ("s_ct", BLOB), ("details", STR_MAP))),
     CertificateResponse: Layout(0x0004, "signature", (
-        ("curve_id", CURVE_ID), ("z_ct", SYMMETRIC), ("request_hash", HASH))),
+        ("curve_id", CURVE_ID), ("z_ct", BLOB), ("request_hash", HASH))),
     Ballot: Layout(0x0005, "signature", (
         ("payload", BLOB), ("anon_cert", NESTED_CERT))),
 }

@@ -144,7 +144,6 @@ class CurveParams:
     gx: int
     gy: int
     n: int
-    h: int
     # computes k*G, ECDH and signatures on a named curve; None on the toy
     # curve. One instance per curve: these objects compare by identity.
     openssl_curve: Optional[ec.EllipticCurve]
@@ -173,7 +172,6 @@ _BRAINPOOL = CurveParams(
     gx=_hex("8BD2AEB9CB7E57CB2C4B482FFC81B7AFB9DE27E1E3BD23C23A4453BD9ACE3262"),
     gy=_hex("547EF835C3DAC4FD97F8461A14611DC9C27745132DED8E545C1D54C72F046997"),
     n=_hex("A9FB57DBA1EEA9BC3E660A909D838D718C397AA3B561A6F7901E0E82974856A7"),
-    h=1,
     openssl_curve=ec.BrainpoolP256R1(),
 )
 
@@ -186,11 +184,10 @@ _SECP256R1 = CurveParams(
     gx=_hex("6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296"),
     gy=_hex("4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5"),
     n=_hex("FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551"),
-    h=1,
     openssl_curve=ec.SECP256R1(),
 )
 
-_TOY = CurveParams(curve_id=TOY, p=17, a=2, b=2, gx=5, gy=1, n=19, h=1,
+_TOY = CurveParams(curve_id=TOY, p=17, a=2, b=2, gx=5, gy=1, n=19,
                    openssl_curve=None)
 
 CURVES = {
@@ -218,7 +215,10 @@ def curve_of(*operands) -> CurveParams:
 
 
 def is_on_curve(P: Point) -> bool:
-    """Whether P lies on the curve it is tagged with."""
+    """Whether P lies on the curve it is tagged with, with coordinates in
+    [0, p). Every curve in `CURVES` has exactly n points (cofactor 1,
+    `test_curve.py::TestCurveParams::test_cofactor_one`), so a point
+    that passes lies in the group of G and needs no subgroup check."""
     if P.is_infinity:
         return True
     params = get_curve(P.curve_id)

@@ -1,9 +1,13 @@
 """Hybrid encryption, authenticated symmetric encryption, and signatures.
 
-ECIES here is ECDH on the protocol curve, then HKDF-SHA256 (RFC 5869) and
-AES-256-GCM with a zero nonce (every derived key is single-use).
-Symmetric envelopes are AES-256-GCM with a random 12-byte nonce. Both
-ciphertexts keep the bytes AES-GCM returns, its 16-byte tag included.
+This module alone knows the byte layout of a ciphertext; every other
+module carries one as opaque `bytes`. An ECIES ciphertext is the 64-byte
+ephemeral point x||y, then AES-GCM's output: ECDH on the recipient key's
+curve, then HKDF-SHA256 (RFC 5869) and AES-256-GCM with a zero nonce
+(every derived key is single-use). A symmetric ciphertext is the random
+12-byte nonce, then AES-GCM's output under a 32-byte key. AES-GCM's
+output ends in its 16-byte tag, and a decrypt refuses an input too short
+to hold its parts with `MalformedEncoding`.
 Signatures are ECDSA over SHA-256 with deterministic RFC 6979 nonces, so
 repeated signing is reproducible. No function here takes a curve: each
 runs on the curve its keys are tagged with. OpenSSL, through
@@ -49,54 +53,16 @@ from .errors import (
     InvalidEphemeralKey,
     InvalidKey,
     InvalidRecipientKey,
+    MalformedEncoding,
     UnknownCurve,
 )
 from .rng import RandomSource
 
-ECIES_CONTEXT = b"anoncert-ecies-v1"
+HKDF_INFO = b"anoncert-ecies-v1"
 TAG_LEN = 16
 NONCE_LEN = 12
 KEY_LEN = 32
 _ZERO_NONCE = b"\x00" * NONCE_LEN
-
-
-@dataclass(frozen=True)
-class EciesCiphertext:
-    ephemeral_public: Point
-    sealed: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.ephemeral_public.to_bytes() + self.sealed
-
-    @classmethod
-    def from_bytes(cls, data: bytes, curve_id: str) -> "EciesCiphertext":
-        if len(data) < 64 + TAG_LEN:
-            raise ValueError("ECIES ciphertext too short")
-        return cls(Point.from_bytes(data[:64], curve_id), data[64:])
-
-
-@dataclass(frozen=True)
-class SymmetricKey:
-    key: bytes
-
-    def __post_init__(self):
-        if len(self.key) != KEY_LEN:
-            raise ValueError("symmetric key must be 32 bytes")
-
-
-@dataclass(frozen=True)
-class SymmetricCiphertext:
-    nonce: bytes
-    sealed: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.nonce + self.sealed
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SymmetricCiphertext":
-        if len(data) < NONCE_LEN + TAG_LEN:
-            raise ValueError("symmetric ciphertext too short")
-        return cls(data[:NONCE_LEN], data[NONCE_LEN:])
 
 
 @dataclass(frozen=True)
@@ -134,44 +100,50 @@ def _ecdh_key(private: Scalar, peer: Point,
         raise invalid_peer(
             f"peer key is not a point of {private.curve_id}") from None
     shared_x = key.exchange(ec.ECDH(), peer_key)
-    hkdf = HKDF(hashes.SHA256(), KEY_LEN, salt=None, info=ECIES_CONTEXT)
+    hkdf = HKDF(hashes.SHA256(), KEY_LEN, salt=None, info=HKDF_INFO)
     return hkdf.derive(shared_x)
 
 
 def ecies_encrypt(recipient_public: Point, plaintext: bytes,
-                  rng: RandomSource) -> EciesCiphertext:
-    """Encrypt to `recipient_public` under an ephemeral key on its curve."""
+                  rng: RandomSource) -> bytes:
+    """Encrypt to `recipient_public` under an ephemeral key on its curve:
+    the ephemeral point, then AES-GCM's output."""
     if recipient_public.is_infinity or not is_on_curve(recipient_public):
         raise InvalidRecipientKey("recipient key off-curve or identity")
     eph = generate_keypair(curve_of(recipient_public), rng)
     key = _ecdh_key(eph.private, recipient_public, InvalidRecipientKey)
-    return EciesCiphertext(eph.public,
-                           AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None))
+    return (eph.public.to_bytes()
+            + AESGCM(key).encrypt(_ZERO_NONCE, plaintext, None))
 
 
-def ecies_decrypt(recipient_private: Scalar, ct: EciesCiphertext) -> bytes:
-    """Open `ct`, whose ephemeral key must carry the recipient's curve."""
-    eph = ct.ephemeral_public
-    curve_of(recipient_private, eph)
+def ecies_decrypt(recipient_private: Scalar, ct: bytes) -> bytes:
+    """Open `ct`, reading its ephemeral point on the recipient key's
+    curve; an identity, off-curve or unreduced point is refused."""
+    if len(ct) < 64 + TAG_LEN:
+        raise MalformedEncoding("ECIES ciphertext too short")
+    eph = Point.from_bytes(ct[:64], recipient_private.curve_id)
     if eph.is_infinity or not is_on_curve(eph):
         raise InvalidEphemeralKey("ephemeral key off-curve or identity")
     key = _ecdh_key(recipient_private, eph, InvalidEphemeralKey)
     try:
-        return AESGCM(key).decrypt(_ZERO_NONCE, ct.sealed, None)
+        return AESGCM(key).decrypt(_ZERO_NONCE, ct[64:], None)
     except InvalidTag:
         raise AuthenticationFailure("ECIES tag check failed") from None
 
 
-def sym_encrypt(key: SymmetricKey, plaintext: bytes, aad: bytes,
-                rng: RandomSource) -> SymmetricCiphertext:
+def sym_encrypt(key: bytes, plaintext: bytes, aad: bytes,
+                rng: RandomSource) -> bytes:
+    """Encrypt under the 32-byte `key`: a fresh nonce, then AES-GCM's
+    output."""
     nonce = rng.read(NONCE_LEN)
-    return SymmetricCiphertext(nonce,
-                               AESGCM(key.key).encrypt(nonce, plaintext, aad))
+    return nonce + AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
-def sym_decrypt(key: SymmetricKey, ct: SymmetricCiphertext, aad: bytes) -> bytes:
+def sym_decrypt(key: bytes, ct: bytes, aad: bytes) -> bytes:
+    if len(ct) < NONCE_LEN + TAG_LEN:
+        raise MalformedEncoding("symmetric ciphertext too short")
     try:
-        return AESGCM(key.key).decrypt(ct.nonce, ct.sealed, aad)
+        return AESGCM(key).decrypt(ct[:NONCE_LEN], ct[NONCE_LEN:], aad)
     except InvalidTag:
         raise AuthenticationFailure("AEAD tag check failed") from None
 

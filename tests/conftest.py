@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY, get_curve
 from anoncert.rng import DeterministicRng
@@ -61,3 +62,17 @@ def edge_scalars():
     """Scalars for native-vs-`_mul` tests on a curve of order n: 0, 1,
     n - 1, n, n + 1 and 2^256 - 1, then `count` seeded 256-bit values."""
     return _edge_and_random_scalars
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """`blob` cut before, with one byte flipped at, or with one byte
+    inserted before a drawn position."""
+    i = draw(st.integers(0, len(blob) - 1))
+    op = draw(st.sampled_from(["truncate", "flip", "insert"]))
+    if op == "truncate":
+        return blob[:i]
+    if op == "flip":
+        flipped = blob[i] ^ draw(st.integers(1, 255))
+        return blob[:i] + bytes([flipped]) + blob[i + 1:]
+    return blob[:i] + bytes([draw(st.integers(0, 255))]) + blob[i:]

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anoncert import actors
 from anoncert.actors import (
@@ -31,11 +34,13 @@ from anoncert.certs import (
     issue_certificate,
     pack,
     signed,
+    tbs_bytes,
 )
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Scalar, get_curve, generate_keypair, scalar_mul
-from anoncert.envelope import SymmetricKey, ecies_encrypt, sym_encrypt
+from anoncert.envelope import ecies_encrypt, sign, sym_encrypt
 from anoncert.errors import (
     AlreadyServed,
+    AnoncertError,
     BadCertificate,
     BadSignature,
     DegenerateResult,
@@ -50,6 +55,7 @@ from anoncert.errors import (
     UnknownRequestHash,
 )
 from anoncert.rng import DeterministicRng
+from conftest import mutated
 
 NOW = 1_750_000_000
 VALIDITY = (NOW - 10, NOW + 3600)
@@ -420,7 +426,7 @@ class TestCaProcessing:
         opened = sym_decrypt(ee.secrets.aes_key, resp.z_ct, resp.request_hash)
         assert len(opened) > 36
         with pytest.raises(AuthenticationFailure):
-            sym_decrypt(SymmetricKey(drng.read(32)), resp.z_ct,
+            sym_decrypt(drng.read(32), resp.z_ct,
                         resp.request_hash)
 
 
@@ -512,7 +518,7 @@ class TestEeFinalization:
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         other_key = dataclasses.replace(
             ee, secrets=dataclasses.replace(
-                ee.secrets, aes_key=SymmetricKey(drng.read(32))))
+                ee.secrets, aes_key=drng.read(32)))
         with pytest.raises(EnvelopeFailure):
             ee_process_response(other_key, resp, setup.ca_keys.public, NOW)
 
@@ -569,6 +575,90 @@ class TestEeFinalization:
         params = setup.params
         assert scalar_mul(result.formal_private, params.g) == \
             result.anon_cert.public_key
+
+
+class TestShortCiphertexts:
+    # a ciphertext too short to hold its parts decodes, as an opaque
+    # field, and the actor that opens it refuses it, naming the envelope
+    def test_short_r_ra_ct_refused_by_ra(self, drng):
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        short = signed(CertificateRequest, setup.ee.private,
+                       preexisting_cert=req.preexisting_cert,
+                       r_ra_ct=b"\x00" * 10, s_ct=req.s_ct,
+                       details=req.details)
+        with pytest.raises(EnvelopeFailure, match="r_RA envelope") as info:
+            ra_process_request(setup.ra, decode(encode(short)), "voter-0",
+                               NOW)
+        assert isinstance(info.value.__cause__, MalformedEncoding)
+
+    def test_short_s_ct_refused_by_ca(self, drng):
+        setup = Setup()
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        short = ra_signed(setup, fwd, s_ct=fwd.s_ct[:64 + 15])
+        with pytest.raises(EnvelopeFailure, match="AES-key envelope") as info:
+            ca_process_request(setup.ca, decode(encode(short)), VALIDITY,
+                               drng)
+        assert isinstance(info.value.__cause__, MalformedEncoding)
+
+    def test_short_z_ct_refused_by_ee(self, drng):
+        setup = Setup()
+        _, ee = ee_create_request(setup.ee, setup.ra_keys.public,
+                                  setup.ca_keys.public, {}, drng)
+        short = signed(CertificateResponse, setup.ca_keys.private,
+                       curve_id=setup.params.curve_id, z_ct=b"\x00" * 5,
+                       request_hash=drng.read(32))
+        with pytest.raises(EnvelopeFailure, match="z envelope") as info:
+            ee_process_response(ee, decode(encode(short)),
+                                setup.ca_keys.public, NOW)
+        assert isinstance(info.value.__cause__, MalformedEncoding)
+
+
+@functools.lru_cache(maxsize=None)
+def _hops():
+    """The four encoded hops of a seeded one-voter secp256r1 flow, each
+    with its sender's signing key and a call that hands a message to its
+    receiver in the state the receiver was in when that hop arrived."""
+    setup = Setup(SECP256R1)
+    ee_key, ra_key = setup.ee.private, setup.ra_keys.private
+    ca_key, ca_public = setup.ca_keys.private, setup.ca_keys.public
+    req, ee = ee_create_request(setup.ee, setup.ra_keys.public, ca_public,
+                                {"election_id": "E1"}, setup.rng)
+    fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
+    resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, setup.rng)
+    return (
+        (encode(req), ee_key, lambda m: ra_process_request(
+            setup.ra, m, "voter-0", NOW)),
+        (encode(fwd), ra_key, lambda m: ca_process_request(
+            setup.ca, m, VALIDITY, DeterministicRng(b"ca"))),
+        (encode(resp), ca_key, lambda m: ra_route_response(ra, m)),
+        (encode(resp), ca_key, lambda m: ee_process_response(
+            ee, m, ca_public, NOW)),
+    )
+
+
+@given(hop=st.integers(0, 3), resign=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_hop_fails_typed(hop, resign, data):
+    # a truncated, flipped or extended hop that still decodes reaches its
+    # receiver, which returns or raises an AnoncertError, nothing else;
+    # signed again by its sender, a mutation gets past the signature check
+    # to the envelopes and the fields behind it
+    blob, sender_key, receive = _hops()[hop]
+    try:
+        msg = decode(data.draw(mutated(blob)))
+    except MalformedEncoding:
+        return
+    if resign:
+        msg = dataclasses.replace(msg,
+                                  signature=sign(sender_key, tbs_bytes(msg)))
+    try:
+        receive(msg)
+    except AnoncertError:
+        pass
 
 
 class TestBallots:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from anoncert.errors import (
     DegenerateResult,
     InvalidKey,
     NotOnCurve,
+    RngFailure,
     UnknownCurve,
 )
 from anoncert.oracle import INF, _to_point, enumerate_group, oracle_mul
@@ -239,6 +241,15 @@ class TestGenerateKeypair:
             seen.add(pair.private.value)
         assert seen == set(range(1, 19))
 
+    def test_rng_stuck_above_n_fails_typed(self, named_curve):
+        # every draw of 0xFF bytes is >= n, so rejection sampling gives up
+        class Stuck:
+            def read(self, n):
+                return b"\xff" * n
+
+        with pytest.raises(RngFailure):
+            generate_keypair(named_curve, Stuck())
+
 
 class TestExpansion:
     def test_published_temporary_key(self, brainpool):
@@ -280,6 +291,13 @@ class TestExpansion:
                 expand_public(I, r)
             with pytest.raises(BlindingOutOfRange):
                 expand_private(i, r)
+            with pytest.raises(BlindingOutOfRange):
+                expand_private(r, i)
+
+    def test_identity_cannot_be_expanded(self, brainpool):
+        with pytest.raises(NotOnCurve):
+            expand_public(Point.infinity(brainpool.curve_id),
+                          Scalar(brainpool.curve_id, R_CA))
 
     def test_operand_disagreement(self, brainpool):
         I = Point(brainpool.curve_id, *I_PUB)
@@ -339,6 +357,9 @@ class TestEncoding:
         assert Point.from_bytes(g.to_bytes(), named_curve.curve_id) == g
         inf = Point.infinity(named_curve.curve_id)
         assert Point.from_bytes(inf.to_bytes(), named_curve.curve_id) == inf
+        for wire in (g.to_bytes()[:-1], g.to_bytes() + b"\x00"):
+            with pytest.raises(ValueError):
+                Point.from_bytes(wire, named_curve.curve_id)
 
     @given(st.integers(min_value=0, max_value=2 ** 256 - 1))
     @settings(max_examples=50)
@@ -354,8 +375,15 @@ class TestCurveParams:
             assert is_on_curve(params.g)
 
     def test_cofactor_one(self):
+        # G has prime order n, so n divides the group order N, and Hasse's
+        # bound N <= p + 1 + 2*sqrt(p) < 2n leaves N = n: every point on
+        # the curve is in the group of G
         for params in CURVES.values():
-            assert params.h == 1
+            n, p, g = params.n, params.p, params.g
+            assert _is_probable_prime(n)
+            minus_g = scalar_mul(Scalar(params.curve_id, n - 1), g)
+            assert point_add(minus_g, g).is_infinity
+            assert 2 * n > p + 1 + 2 * (math.isqrt(p) + 1)
 
     def test_toy_group_order(self, toy):
         assert len(enumerate_group(toy.p, toy.a, toy.b)) == toy.n
@@ -369,3 +397,21 @@ class TestCurveParams:
         for curve_id in NAMED_CURVES:
             assert get_curve(curve_id).openssl_curve.name == curve_id
         assert get_curve(TOY).openssl_curve is None
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases."""
+    d, twos = n - 1, 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if a % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -5,6 +5,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import encode_dss_signature
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,11 +21,8 @@ from anoncert.curve import (
     scalar_mul,
 )
 from anoncert.envelope import (
-    ECIES_CONTEXT,
-    EciesCiphertext,
+    HKDF_INFO,
     Signature,
-    SymmetricCiphertext,
-    SymmetricKey,
     digest,
     ecies_decrypt,
     ecies_encrypt,
@@ -35,11 +33,12 @@ from anoncert.envelope import (
     _ecdh_key,
 )
 from anoncert.errors import (
+    AnoncertError,
     AuthenticationFailure,
-    CurveMismatch,
     InvalidEphemeralKey,
     InvalidKey,
     InvalidRecipientKey,
+    MalformedEncoding,
     UnknownCurve,
 )
 from anoncert.rng import DeterministicRng
@@ -93,29 +92,43 @@ class TestEcies:
             ecies_encrypt(Point.infinity(brainpool.curve_id), b"x", drng)
 
     def test_wire_round_trip(self, brainpool, drng):
+        # the layout: the ephemeral point x||y, then AES-GCM's output under
+        # HKDF of the ECDH x coordinate, which this test derives itself
         pair = generate_keypair(brainpool, drng)
         ct = ecies_encrypt(pair.public, b"wire", drng)
-        parsed = EciesCiphertext.from_bytes(ct.to_bytes(), brainpool.curve_id)
-        assert parsed == ct
+        eph = Point.from_bytes(ct[:64], brainpool.curve_id)
+        peer = ec.EllipticCurvePublicNumbers(
+            eph.x, eph.y, brainpool.openssl_curve).public_key()
+        shared_x = ec.derive_private_key(
+            pair.private.value, brainpool.openssl_curve).exchange(
+                ec.ECDH(), peer)
+        key = HKDF(hashes.SHA256(), 32, salt=None,
+                   info=b"anoncert-ecies-v1").derive(shared_x)
+        assert AESGCM(key).decrypt(b"\x00" * 12, ct[64:], None) == b"wire"
+
+    def test_short_ciphertext_is_malformed(self, named_curve, drng):
+        pair = generate_keypair(named_curve, drng)
+        ct = ecies_encrypt(pair.public, b"", drng)
+        assert len(ct) == 64 + 16
+        assert ecies_decrypt(pair.private, ct) == b""
+        for short in (ct[:-1], ct[:64], b""):
+            with pytest.raises(MalformedEncoding):
+                ecies_decrypt(pair.private, short)
 
     def test_ephemeral_key_of_another_curve(self, brainpool, secp, drng):
         # a ciphertext made for a secp256r1 recipient, opened with a
-        # brainpoolP256r1 key
+        # brainpoolP256r1 key: its point is read on brainpoolP256r1
         ct = ecies_encrypt(generate_keypair(secp, drng).public, b"x", drng)
-        with pytest.raises(CurveMismatch):
+        with pytest.raises(InvalidEphemeralKey):
             ecies_decrypt(generate_keypair(brainpool, drng).private, ct)
 
     def test_perturbations_rejected(self, brainpool, drng):
         pair = generate_keypair(brainpool, drng)
         ct = ecies_encrypt(pair.public, b"perturb me", drng)
-        raw = ct.to_bytes()
-        from anoncert.errors import AnoncertError
         for _ in range(60):
-            bit = int.from_bytes(drng.read(4), "big") % (len(raw) * 8)
-            mangled = EciesCiphertext.from_bytes(_flip_bit(raw, bit),
-                                                 brainpool.curve_id)
+            bit = int.from_bytes(drng.read(4), "big") % (len(ct) * 8)
             with pytest.raises(AnoncertError):
-                ecies_decrypt(pair.private, mangled)
+                ecies_decrypt(pair.private, _flip_bit(ct, bit))
 
 
 class TestEcdh:
@@ -131,7 +144,7 @@ class TestEcdh:
                     _ecdh_key(scalar, peer, InvalidRecipientKey)
                 continue
             shared = _mul(k % params.n, peer)
-            hkdf = HKDF(hashes.SHA256(), 32, salt=None, info=ECIES_CONTEXT)
+            hkdf = HKDF(hashes.SHA256(), 32, salt=None, info=HKDF_INFO)
             want = hkdf.derive(shared.x.to_bytes(32, "big"))
             assert _ecdh_key(scalar, peer, InvalidRecipientKey) == want
 
@@ -149,47 +162,48 @@ class TestEcdh:
         # OpenSSL reduces coordinates mod p; the wire form must be canonical
         pair = generate_keypair(brainpool, drng)
         ct = ecies_encrypt(pair.public, b"x", drng)
-        eph = ct.ephemeral_public
+        eph = Point.from_bytes(ct[:64], brainpool.curve_id)
         while eph.x + brainpool.p >= 2 ** 256:
             ct = ecies_encrypt(pair.public, b"x", drng)
-            eph = ct.ephemeral_public
+            eph = Point.from_bytes(ct[:64], brainpool.curve_id)
         unreduced = Point(brainpool.curve_id, eph.x + brainpool.p, eph.y)
-        wire = unreduced.to_bytes() + ct.to_bytes()[64:]
         with pytest.raises(InvalidEphemeralKey):
-            ecies_decrypt(pair.private,
-                          EciesCiphertext.from_bytes(wire, brainpool.curve_id))
+            ecies_decrypt(pair.private, unreduced.to_bytes() + ct[64:])
 
 
 class TestSymmetric:
     def test_round_trip(self, drng):
-        key = SymmetricKey(drng.read(32))
+        key = drng.read(32)
         msg = b"anonymous certificate || blinding value"
         ct = sym_encrypt(key, msg, b"aad", drng)
         assert sym_decrypt(key, ct, b"aad") == msg
 
     def test_bit_flip_rejected(self, drng):
-        key = SymmetricKey(drng.read(32))
+        key = drng.read(32)
         ct = sym_encrypt(key, b"payload bytes", b"ctx", drng)
-        raw = ct.to_bytes()
-        for bit in range(0, len(raw) * 8, 7):
-            mangled = SymmetricCiphertext.from_bytes(_flip_bit(raw, bit))
+        for bit in range(0, len(ct) * 8, 7):
             with pytest.raises(AuthenticationFailure):
-                sym_decrypt(key, mangled, b"ctx")
+                sym_decrypt(key, _flip_bit(ct, bit), b"ctx")
 
     def test_aad_mismatch(self, drng):
-        key = SymmetricKey(drng.read(32))
+        key = drng.read(32)
         ct = sym_encrypt(key, b"payload", b"right", drng)
         with pytest.raises(AuthenticationFailure):
             sym_decrypt(key, ct, b"wrong")
 
     def test_wrong_key(self, drng):
-        ct = sym_encrypt(SymmetricKey(drng.read(32)), b"payload", b"", drng)
+        ct = sym_encrypt(drng.read(32), b"payload", b"", drng)
         with pytest.raises(AuthenticationFailure):
-            sym_decrypt(SymmetricKey(drng.read(32)), ct, b"")
+            sym_decrypt(drng.read(32), ct, b"")
 
-    def test_key_length_enforced(self):
-        with pytest.raises(ValueError):
-            SymmetricKey(b"short")
+    def test_short_ciphertext_is_malformed(self, drng):
+        key = drng.read(32)
+        ct = sym_encrypt(key, b"", b"", drng)
+        assert len(ct) == 12 + 16
+        assert sym_decrypt(key, ct, b"") == b""
+        for short in (ct[:-1], ct[:12], b""):
+            with pytest.raises(MalformedEncoding):
+                sym_decrypt(key, short, b"")
 
 
 class TestSignatures:
@@ -231,6 +245,19 @@ class TestSignatures:
         pair = generate_keypair(brainpool, drng)
         sig = sign(pair.private, b"wire")
         assert Signature.from_bytes(sig.to_bytes(), brainpool.curve_id) == sig
+        for wire in (sig.to_bytes()[:-1], sig.to_bytes() + b"\x00"):
+            with pytest.raises(ValueError):
+                Signature.from_bytes(wire, brainpool.curve_id)
+
+    def test_identity_sum_is_false(self, named_curve):
+        # under the key q = -e/r mod n, u1*G + u2*Q = (e + r*q)/s * G is
+        # the identity, which has no x coordinate to compare with r
+        curve_id, n = named_curve.curve_id, named_curve.n
+        e = int.from_bytes(digest(b"m"), "big") % n
+        r, s = 5, 7
+        q = Scalar(curve_id, -e * pow(r, -1, n) % n)
+        sig = Signature(Scalar(curve_id, r), Scalar(curve_id, s))
+        assert verify(scalar_mul(q, named_curve.g), b"m", sig) is False
 
     def test_rfc6979_p256_sha256_sample(self, secp):
         # RFC 6979, appendix A.2.5: P-256, SHA-256, message "sample"

@@ -4,6 +4,10 @@ The scan reads every module of `src/anoncert`, `tests` and `perfbench`
 and lists each `from M import name` where M is a module of this repository
 that only imports `name` (or names it nowhere) and `name` is not a
 submodule of M.
+
+A second scan keeps the crypto boundary of the package: only `curve` and
+`envelope` import `cryptography`, and only `envelope`, which alone knows
+the ciphertext layouts, imports its AES-GCM or HKDF.
 """
 
 import ast
@@ -79,3 +83,43 @@ def test_a_name_imported_through_another_module_is_found():
                      "from cryptography.exceptions import InvalidTag\n")
     assert _offending(tree, PACKAGE / "actors.py") == [
         ("AuthenticationFailure", "anoncert.envelope")]
+
+
+def _cryptography_names(tree: ast.AST) -> set:
+    """The `cryptography` names that `tree` imports, dotted: each module
+    of an `import`, and each `module.name` of a `from` import."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name for name in found if name.split(".")[0] == "cryptography"}
+
+
+def _aead_or_kdf(names: set) -> bool:
+    return any({"aead", "AESGCM", "hkdf", "HKDF"} & set(name.split("."))
+               for name in names)
+
+
+def test_only_curve_and_envelope_use_cryptography():
+    uses = {path.name: _cryptography_names(ast.parse(path.read_text()))
+            for path in PACKAGE.glob("*.py")}
+    assert {name for name, used in uses.items() if used} == {
+        "curve.py", "envelope.py"}
+    assert {name for name, used in uses.items() if _aead_or_kdf(used)} == {
+        "envelope.py"}
+
+
+def test_a_cryptography_import_is_found():
+    tree = ast.parse(
+        "from cryptography.hazmat.primitives.ciphers.aead import AESGCM\n"
+        "import cryptography.hazmat.primitives.kdf.hkdf\n"
+        "from cryptography.hazmat.primitives.asymmetric import ec\n"
+        "from .envelope import sym_encrypt\n")
+    names = _cryptography_names(tree)
+    assert names == {"cryptography.hazmat.primitives.ciphers.aead.AESGCM",
+                     "cryptography.hazmat.primitives.kdf.hkdf",
+                     "cryptography.hazmat.primitives.asymmetric.ec"}
+    assert _aead_or_kdf(names)
+    assert not _aead_or_kdf({"cryptography.hazmat.primitives.asymmetric.ec"})
