@@ -4,7 +4,8 @@ Each step is a pure transition (state, message) -> (state', outputs); no
 actor mutates another's state, so a harness may run them on separate
 threads with message passing. Within one actor, steps are serialized.
 Actors keep no record of the bytes they exchange: the caller carries each
-message over the wire (`certs.encode`/`decode`) and keeps any transcript.
+message over the wire (`certs.encode`, then `certs.decode` with the class
+the receiving step accepts) and keeps any transcript.
 Each state holds the one private key its actor uses and the public keys
 it trusts; the EE's own public key I is the one on its preexisting
 certificate.
@@ -18,7 +19,8 @@ One identity gets one credential: the RA forwards only requests whose
 preexisting certificate verifies under the identity root, at most one per
 certificate serial, and it routes (erasing r_RA) only responses the CA
 signed; the CA answers each request hash once. Every certificate check is
-one `verify_certificate` call that names the kind it accepts.
+one `verify_certificate` call that names the kind it accepts; every other
+signature check is one `verify_signed` call.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from .certs import (
     pack,
     sanitize_details,
     signed,
-    tbs_bytes,
     unpack,
     verify_certificate,
+    verify_signed,
 )
 from .envelope import (
     digest,
@@ -59,7 +61,6 @@ from .envelope import (
     ecies_encrypt,
     sym_decrypt,
     sym_encrypt,
-    verify,
 )
 from .errors import (
     AlreadyServed,
@@ -148,7 +149,7 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
                        now: int) -> tuple[ForwardedRequest, RaState]:
     cert = req.preexisting_cert
     params = get_curve(cert.curve_id)
-    if not verify(cert.public_key, tbs_bytes(req), req.signature):
+    if not verify_signed(req, cert.public_key):
         raise BadSignature("request signature does not verify under the "
                            "embedded certificate key")
     if not verify_certificate(cert, state.identity_root, now,
@@ -190,7 +191,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
                        validity: tuple[int, int],
                        rng: RandomSource) -> tuple[CertificateResponse, CaState]:
     params = get_curve(fwd.curve_id)
-    if not verify(state.trusted_ra_public, tbs_bytes(fwd), fwd.signature):
+    if not verify_signed(fwd, state.trusted_ra_public):
         raise BadSignature("forwarded request not signed by the trusted RA")
     hash_hex = fwd.details.get(REQUEST_HASH_KEY)
     if hash_hex is None:
@@ -237,7 +238,7 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
 
 def ra_route_response(state: RaState, resp: CertificateResponse
                       ) -> tuple[str, RaState]:
-    if not verify(state.ca_public, tbs_bytes(resp), resp.signature):
+    if not verify_signed(resp, state.ca_public):
         raise BadSignature("response not signed by the CA")
     entry = state.pending.get(resp.request_hash)
     if entry is None:
@@ -252,7 +253,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
     params = get_curve(state.private.curve_id)
-    if not verify(ca_public, tbs_bytes(resp), resp.signature):
+    if not verify_signed(resp, ca_public):
         raise BadSignature("response not signed by the CA")
     try:
         payload = sym_decrypt(state.secrets.aes_key, resp.z_ct,
@@ -284,4 +285,4 @@ def sign_ballot(state: EeState, payload: bytes) -> Ballot:
 def verify_ballot(ballot: Ballot, ca_public: Point, now: int) -> bool:
     cert = ballot.anon_cert
     return (verify_certificate(cert, ca_public, now, KIND_ANONYMOUS)
-            and verify(cert.public_key, tbs_bytes(ballot), ballot.signature))
+            and verify_signed(ballot, cert.public_key))

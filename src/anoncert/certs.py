@@ -7,9 +7,10 @@ needs. `LAYOUT` is the wire specification: for each message it gives the
 trailing signature field. Variable-length fields carry 4-byte big-endian
 length prefixes and string maps are sorted by key. One writer and one
 reader are driven by the table, and decoding is canonical: `decode`
-refuses every input `b` for which `encode(decode(b)) != b` with
-`MalformedEncoding`. Hashing and signing always operate on these
-canonical bytes.
+refuses every input `b` for which `encode(decode(b)) != b`, and
+`decode(b, cls)` any message not of class `cls`, with `MalformedEncoding`.
+Hashes and signatures cover these canonical bytes, and only `signed` and
+`verify_signed` pair a message with its signature field.
 
 The ciphertexts a message carries (a request's `r_ra_ct` and `s_ct`, a
 response's `z_ct`) are opaque `BLOB` fields: their layout is `envelope`'s
@@ -259,9 +260,10 @@ def encode(msg) -> bytes:
     return tbs_bytes(msg) + SIGNATURE.write(getattr(msg, LAYOUT[type(msg)].signature))
 
 
-def decode(data: bytes):
+def decode(data: bytes, cls: type = None):
+    """The message `data` encodes; with `cls`, a `cls` message alone."""
     r = _Reader(data)
-    msg = r.message("message")
+    msg = r.message("message", cls)
     r.done()
     return msg
 
@@ -273,6 +275,13 @@ def signed(cls, signer_private: Scalar, **fields):
     unsigned = cls(**fields, **{name: None})
     return replace(unsigned,
                    **{name: sign(signer_private, tbs_bytes(unsigned))})
+
+
+def verify_signed(msg, signer_public: Point) -> bool:
+    """Whether `msg`'s signature field signs its tbs_bytes under
+    `signer_public`; like `verify`, it answers False, never an error."""
+    return verify(signer_public, tbs_bytes(msg),
+                  getattr(msg, LAYOUT[type(msg)].signature))
 
 
 def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
@@ -302,11 +311,9 @@ def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
 def verify_certificate(cert: Certificate, issuer_public: Point, now: int,
                        kind: str) -> bool:
     """Whether `cert` is a current `kind` certificate of `issuer_public`."""
-    if cert.kind != kind or cert.curve_id != issuer_public.curve_id:
-        return False
-    if not (cert.not_before <= now <= cert.not_after):
-        return False
-    return verify(issuer_public, tbs_bytes(cert), cert.issuer_signature)
+    return (cert.kind == kind and cert.curve_id == issuer_public.curve_id
+            and cert.not_before <= now <= cert.not_after
+            and verify_signed(cert, issuer_public))
 
 
 def sanitize_details(details: Mapping[str, str]) -> dict:

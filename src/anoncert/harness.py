@@ -7,8 +7,8 @@ that must never appear on the wrong side of the trust boundary.
 
 Every hop goes over the wire: the sender's message is encoded, its bytes
 are logged once as sent and once as received, and the receiver gets what
-`decode` makes of them. So each actor processes exactly the bytes that the
-byte-scan audits.
+`decode` makes of them as the class it accepts. So each actor processes
+exactly the bytes that the byte-scan audits.
 
 Reports are reproducible: identical config (including seed) yields
 byte-identical JSON. The report holds no wall-clock time; a caller that
@@ -35,9 +35,11 @@ from .actors import (
     sign_ballot,
     verify_ballot,
 )
-from .certs import KIND_PREEXISTING, decode, encode, issue_certificate
+from .certs import (CertificateRequest, CertificateResponse, ForwardedRequest,
+                    KIND_PREEXISTING, decode, encode, issue_certificate)
 from .curve import Scalar, generate_keypair, get_curve
-from .errors import AnoncertError, BadSignature, UnknownCurve
+from .errors import (AnoncertError, BadSignature, ProtocolStateError,
+                     UnknownCurve)
 from .rng import DeterministicRng
 
 SIMULATION_TIME = 1_750_000_000  # fixed clock keeps runs reproducible
@@ -94,12 +96,12 @@ def dump_transcript(log: list, directory) -> None:
             fh.write(message.hex().upper() + "\n")
 
 
-def _deliver(log: list, sender: str, receiver: str, msg):
+def _deliver(log: list, sender: str, receiver: str, msg, cls: type):
     """Carry `msg` over the wire: log its encoding as sent and as received,
-    and return what the receiver decodes from those bytes."""
+    and return the `cls` message the receiver decodes from those bytes."""
     data = encode(msg)
     log.extend(((sender, "sent", data), (receiver, "received", data)))
-    return decode(data)
+    return decode(data, cls)
 
 
 def _leaks(log: list, actor: str, forbidden: list) -> list:
@@ -167,14 +169,18 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             ca_forbidden.append((f"{ee_id}.r_RA", r_ra.to_bytes()))
 
             fwd, ra = ra_process_request(
-                ra, _deliver(log, "EE", "RA", req), ee_id, SIMULATION_TIME)
+                ra, _deliver(log, "EE", "RA", req, CertificateRequest),
+                ee_id, SIMULATION_TIME)
             resp, ca = ca_process_request(
-                ca, _deliver(log, "RA", "CA", fwd), VALIDITY_WINDOW,
-                root.split(f"ca-{ee_id}"))
-            resp = _deliver(log, "CA", "RA", resp)
-            _, ra = ra_route_response(ra, resp)
-            ee = ee_process_response(ee, _deliver(log, "RA", "EE", resp),
-                                     ca_keys.public, SIMULATION_TIME)
+                ca, _deliver(log, "RA", "CA", fwd, ForwardedRequest),
+                VALIDITY_WINDOW, root.split(f"ca-{ee_id}"))
+            resp = _deliver(log, "CA", "RA", resp, CertificateResponse)
+            route, ra = ra_route_response(ra, resp)
+            if route != ee_id:
+                raise ProtocolStateError(f"RA routed the response to {route}")
+            ee = ee_process_response(
+                ee, _deliver(log, "RA", "EE", resp, CertificateResponse),
+                ca_keys.public, SIMULATION_TIME)
             result = ee.result
             i = ee.private.value
             # the CA's draw whenever the EE's k*G == K check passed

@@ -9,7 +9,7 @@ this oracle exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .curve import TOY, Point, Scalar, expand_public, get_curve, point_add, scalar_mul
 from .errors import DegenerateResult
@@ -55,106 +55,90 @@ def _to_tuple(P: Point):
     return INF if P.is_infinity else (P.x, P.y)
 
 
-def _to_point(t, curve_id: str = TOY) -> Point:
-    if t == INF:
-        return Point.infinity(curve_id)
-    return Point(curve_id, t[0], t[1])
+def _to_point(t) -> Point:
+    return Point.infinity(TOY) if t == INF else Point(TOY, t[0], t[1])
 
 
 @dataclass
 class OracleReport:
-    group_order: int = 0
-    scalar_table_ok: bool = False
-    group_laws_ok: bool = False
-    homomorphism_ok: bool = False
-    uniform_expansion_ok: bool = False
-    failures: list = field(default_factory=list)
+    """Each `*_ok` flag says whether its check found no failure;
+    `failures` lists what each check found, after a wrong group order."""
+    group_order: int
+    scalar_table_ok: bool
+    group_laws_ok: bool
+    homomorphism_ok: bool
+    uniform_expansion_ok: bool
+    failures: list
 
     @property
     def all_ok(self) -> bool:
-        return (self.scalar_table_ok and self.group_laws_ok
-                and self.homomorphism_ok and self.uniform_expansion_ok)
+        return not self.failures
+
+
+CHECKS = tuple(f.name for f in fields(OracleReport) if f.name.endswith("_ok"))
+
+
+def _expand(X, r: int):
+    """expand_public(X, r) as an oracle tuple, INF where it degenerates."""
+    try:
+        return _to_tuple(expand_public(_to_point(X), Scalar(TOY, r)))
+    except DegenerateResult:
+        return INF
 
 
 def run_oracle_suite() -> OracleReport:
     params = get_curve(TOY)
-    report = OracleReport()
-    group = enumerate_group(params.p, params.a, params.b)
-    report.group_order = len(group)
-    if len(group) != params.n:
-        report.failures.append(
-            f"group order {len(group)} != declared n {params.n}")
-
+    p, a, n = params.p, params.a, params.n
+    group = enumerate_group(p, a, params.b)
     g = (params.gx, params.gy)
+    order = [] if len(group) == n else [
+        f"group order {len(group)} != declared n {n}"]
+    found = {name: [] for name in CHECKS}
 
     # scalar_mul against literal repeated addition, all scalars
-    report.scalar_table_ok = True
-    for k in range(params.n):
-        got = scalar_mul(Scalar(TOY, k), params.g)
-        want = oracle_mul(k, g, params.p, params.a)
-        if _to_tuple(got) != want:
-            report.scalar_table_ok = False
-            report.failures.append(f"scalar_mul({k}, G) = {_to_tuple(got)}, "
-                                   f"oracle says {want}")
+    for k in range(n):
+        got = _to_tuple(scalar_mul(Scalar(TOY, k), params.g))
+        want = oracle_mul(k, g, p, a)
+        if got != want:
+            found["scalar_table_ok"].append(
+                f"scalar_mul({k}, G) = {got}, oracle says {want}")
 
-    # group laws over the whole table
-    report.group_laws_ok = True
+    # group laws over the whole table, with production addition on tuples
+    def add(P, Q):
+        return _to_tuple(point_add(_to_point(P), _to_point(Q)))
+
+    laws = found["group_laws_ok"]
     for P in group:
-        Pp = _to_point(P)
-        if _to_tuple(point_add(Pp, Point.infinity(TOY))) != P:
-            report.group_laws_ok = False
-            report.failures.append(f"identity law fails at {P}")
-        neg = INF if P == INF else (P[0], (-P[1]) % params.p)
-        if _to_tuple(point_add(Pp, _to_point(neg))) != INF:
-            report.group_laws_ok = False
-            report.failures.append(f"inverse law fails at {P}")
+        if add(P, INF) != P:
+            laws.append(f"identity law fails at {P}")
+        if add(P, INF if P == INF else (P[0], (-P[1]) % p)) != INF:
+            laws.append(f"inverse law fails at {P}")
         for Q in group:
-            Qp = _to_point(Q)
-            pq = point_add(Pp, Qp)
-            if _to_tuple(pq) != oracle_add(P, Q, params.p, params.a):
-                report.group_laws_ok = False
-                report.failures.append(f"addition differs at {P} + {Q}")
-            if _to_tuple(point_add(Qp, Pp)) != _to_tuple(pq):
-                report.group_laws_ok = False
-                report.failures.append(f"commutativity fails at {P}, {Q}")
+            pq = add(P, Q)
+            if pq != oracle_add(P, Q, p, a):
+                laws.append(f"addition differs at {P} + {Q}")
+            if add(Q, P) != pq:
+                laws.append(f"commutativity fails at {P}, {Q}")
             for R in group:
-                left = point_add(pq, _to_point(R))
-                right = point_add(Pp, point_add(Qp, _to_point(R)))
-                if _to_tuple(left) != _to_tuple(right):
-                    report.group_laws_ok = False
-                    report.failures.append(
-                        f"associativity fails at {P}, {Q}, {R}")
+                if add(pq, R) != add(P, add(Q, R)):
+                    laws.append(f"associativity fails at {P}, {Q}, {R}")
 
     # expansion homomorphism for every (x, r) pair
-    report.homomorphism_ok = True
-    for x in range(1, params.n):
-        X = oracle_mul(x, g, params.p, params.a)
-        for r in range(1, params.n):
-            want = oracle_mul((x + r) % params.n, g, params.p, params.a)
-            try:
-                got = expand_public(_to_point(X), Scalar(TOY, r))
-                got_t = _to_tuple(got)
-            except DegenerateResult:
-                got_t = INF
-            if got_t != want:
-                report.homomorphism_ok = False
-                report.failures.append(
-                    f"homomorphism fails at x={x}, r={r}: {got_t} != {want}")
+    for x in range(1, n):
+        X = oracle_mul(x, g, p, a)
+        for r in range(1, n):
+            got, want = _expand(X, r), oracle_mul((x + r) % n, g, p, a)
+            if got != want:
+                found["homomorphism_ok"].append(
+                    f"homomorphism fails at x={x}, r={r}: {got} != {want}")
 
     # fixed-J coverage: over all r in [1, n-1] the n-1 outcomes are distinct,
     # each hit exactly once (the degenerate identity counts as one outcome)
-    report.uniform_expansion_ok = True
-    J = oracle_mul(7, g, params.p, params.a)
-    outcomes = []
-    for r in range(1, params.n):
-        try:
-            outcomes.append(_to_tuple(
-                expand_public(_to_point(J), Scalar(TOY, r))))
-        except DegenerateResult:
-            outcomes.append(INF)
-    if len(set(outcomes)) != params.n - 1 or len(outcomes) != params.n - 1:
-        report.uniform_expansion_ok = False
-        report.failures.append(
-            f"fixed-J expansion hit {len(set(outcomes))} distinct outcomes, "
-            f"expected {params.n - 1}")
-    return report
+    J = oracle_mul(7, g, p, a)
+    distinct = len({_expand(J, r) for r in range(1, n)})
+    if distinct != n - 1:
+        found["uniform_expansion_ok"].append(
+            f"fixed-J expansion hit {distinct} distinct outcomes, "
+            f"expected {n - 1}")
+    return OracleReport(len(group), **{name: not found[name] for name in CHECKS},
+                        failures=order + sum(found.values(), []))

@@ -54,6 +54,7 @@ from anoncert.errors import (
     UnknownCurve,
     UnknownRequestHash,
 )
+from anoncert.harness import _deliver
 from anoncert.rng import DeterministicRng
 from conftest import mutated
 
@@ -620,8 +621,9 @@ class TestShortCiphertexts:
 @functools.lru_cache(maxsize=None)
 def _hops():
     """The four encoded hops of a seeded one-voter secp256r1 flow, each
-    with its sender's signing key and a call that hands a message to its
-    receiver in the state the receiver was in when that hop arrived."""
+    with the class its receiver accepts, its sender's signing key and a
+    call that hands a message to its receiver in the state the receiver
+    was in when that hop arrived."""
     setup = Setup(SECP256R1)
     ee_key, ra_key = setup.ee.private, setup.ra_keys.private
     ca_key, ca_public = setup.ca_keys.private, setup.ca_keys.public
@@ -630,26 +632,28 @@ def _hops():
     fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
     resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, setup.rng)
     return (
-        (encode(req), ee_key, lambda m: ra_process_request(
+        (encode(req), CertificateRequest, ee_key, lambda m: ra_process_request(
             setup.ra, m, "voter-0", NOW)),
-        (encode(fwd), ra_key, lambda m: ca_process_request(
+        (encode(fwd), ForwardedRequest, ra_key, lambda m: ca_process_request(
             setup.ca, m, VALIDITY, DeterministicRng(b"ca"))),
-        (encode(resp), ca_key, lambda m: ra_route_response(ra, m)),
-        (encode(resp), ca_key, lambda m: ee_process_response(
-            ee, m, ca_public, NOW)),
+        (encode(resp), CertificateResponse, ca_key,
+         lambda m: ra_route_response(ra, m)),
+        (encode(resp), CertificateResponse, ca_key,
+         lambda m: ee_process_response(ee, m, ca_public, NOW)),
     )
 
 
 @given(hop=st.integers(0, 3), resign=st.booleans(), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_mutated_hop_fails_typed(hop, resign, data):
-    # a truncated, flipped or extended hop that still decodes reaches its
-    # receiver, which returns or raises an AnoncertError, nothing else;
-    # signed again by its sender, a mutation gets past the signature check
-    # to the envelopes and the fields behind it
-    blob, sender_key, receive = _hops()[hop]
+    # a truncated, flipped or extended hop that still decodes as the class
+    # its receiver accepts reaches that receiver, which returns or raises
+    # an AnoncertError, nothing else; signed again by its sender, a
+    # mutation gets past the signature check to the envelopes and the
+    # fields behind it
+    blob, cls, sender_key, receive = _hops()[hop]
     try:
-        msg = decode(data.draw(mutated(blob)))
+        msg = decode(data.draw(mutated(blob)), cls)
     except MalformedEncoding:
         return
     if resign:
@@ -659,6 +663,32 @@ def test_mutated_hop_fails_typed(hop, resign, data):
         receive(msg)
     except AnoncertError:
         pass
+
+
+class TestMessageOfAnotherClass:
+    # well-formed bytes of another message type are refused where they are
+    # read, with MalformedEncoding, so no step is handed them: a step that
+    # read another class's fields would raise AttributeError
+    @pytest.fixture(scope="class")
+    def flow(self):
+        setup = Setup(SECP256R1)
+        req, *_ = setup.run_flow()
+        return req, sign_ballot(setup.ee, b"alice")
+
+    def test_ballot_refused_at_the_ra_hop(self, flow):
+        _, ballot = flow
+        with pytest.raises(MalformedEncoding, match="type tag 0x0005"):
+            _deliver([], "EE", "RA", ballot, CertificateRequest)
+
+    def test_request_refused_at_the_ca_hop(self, flow):
+        req, _ = flow
+        with pytest.raises(MalformedEncoding, match="type tag 0x0002"):
+            _deliver([], "RA", "CA", req, ForwardedRequest)
+
+    def test_request_refused_as_a_ballot(self, flow):
+        req, _ = flow
+        with pytest.raises(MalformedEncoding, match="type tag 0x0002"):
+            decode(encode(req), Ballot)
 
 
 class TestBallots:

@@ -22,18 +22,22 @@ from anoncert.certs import (
     pack,
     request_tbs_bytes,
     sanitize_details,
+    signed,
     tbs_bytes,
     unpack,
     verify_certificate,
+    verify_signed,
 )
 from anoncert.curve import (
     BRAINPOOL_P256R1,
     SECP256R1,
     Point,
+    Scalar,
     generate_keypair,
     get_curve,
 )
 from anoncert.envelope import (
+    Signature,
     digest,
     ecies_encrypt,
     sign,
@@ -229,6 +233,80 @@ class TestEncoding:
         _, cert = make_cert(brainpool, issuer, drng)
         assert verify(issuer.public, cert_tbs_bytes(cert),
                       cert.issuer_signature)
+
+
+MESSAGE_CLASSES = tuple(LAYOUT)
+
+
+def _class_name(cls):
+    return cls.__name__
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_samples(curve_id=SECP256R1):
+    """One message of each class, every one signed by the same key:
+    (that key pair, {class: message})."""
+    params, rng = get_curve(curve_id), DeterministicRng(b"signed samples")
+    signer, holder = generate_keypair(params, rng), generate_keypair(params, rng)
+    key, ct = signer.private, ecies_encrypt(signer.public, rng.read(32), rng)
+    cert = issue_certificate(key, "CA", "", holder.public, VALIDITY,
+                             KIND_ANONYMOUS, rng)
+    messages = (
+        cert,
+        signed(CertificateRequest, key, preexisting_cert=cert, r_ra_ct=ct,
+               s_ct=ct, details={"purpose": "vote"}),
+        signed(ForwardedRequest, key, curve_id=curve_id,
+               temporary_public_key=holder.public, s_ct=ct,
+               details={"election_id": "E1"}),
+        signed(CertificateResponse, key, curve_id=curve_id, z_ct=ct,
+               request_hash=digest(b"request")),
+        signed(Ballot, key, payload=b"alice", anon_cert=cert),
+    )
+    return signer, {type(msg): msg for msg in messages}
+
+
+@pytest.mark.parametrize("accepted", MESSAGE_CLASSES, ids=_class_name)
+@pytest.mark.parametrize("sent", MESSAGE_CLASSES, ids=_class_name)
+def test_decode_returns_only_the_class_it_is_given(sent, accepted):
+    msg = _signed_samples()[1][sent]
+    if sent is accepted:
+        assert decode(encode(msg), accepted) == msg
+    else:
+        tag = f"0x{LAYOUT[sent].tag:04X}"
+        with pytest.raises(MalformedEncoding, match=f"type tag {tag}"):
+            decode(encode(msg), accepted)
+
+
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=_class_name)
+def test_verify_signed_checks_the_signature_field_over_the_tbs(cls):
+    signer, messages = _signed_samples()
+    msg, field = messages[cls], LAYOUT[cls].signature
+    assert verify_signed(msg, signer.public)
+
+    # one flipped byte in the first bytes field the signature covers
+    name = next(name for name, _ in LAYOUT[cls].fields
+                if isinstance(getattr(msg, name), bytes))
+    value = getattr(msg, name)
+    flipped = dataclasses.replace(
+        msg, **{name: bytes([value[0] ^ 0x01]) + value[1:]})
+    tbs, flipped_tbs = tbs_bytes(msg), tbs_bytes(flipped)
+    assert len(tbs) == len(flipped_tbs)
+    assert sum(a != b for a, b in zip(tbs, flipped_tbs)) == 1
+    assert not verify_signed(flipped, signer.public)
+
+    # the signature of another message by the same signer
+    for other in messages.values():
+        if other is not msg:
+            lifted = getattr(other, LAYOUT[type(other)].signature)
+            assert not verify_signed(
+                dataclasses.replace(msg, **{field: lifted}), signer.public)
+
+    # the same signature values, tagged with another curve
+    sig = getattr(msg, field)
+    retagged = Signature(Scalar(BRAINPOOL_P256R1, sig.r.value),
+                         Scalar(BRAINPOOL_P256R1, sig.s.value))
+    assert not verify_signed(dataclasses.replace(msg, **{field: retagged}),
+                             signer.public)
 
 
 def _var(data):

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from anoncert import actors, cli, curve, envelope, harness
+from anoncert import actors, cli, curve, envelope, harness, oracle
 from anoncert.certs import encode
 from anoncert.cli import main
 from anoncert.curve import (
@@ -20,7 +20,7 @@ from anoncert.curve import (
 )
 from anoncert.errors import Ineligible, UnknownCurve
 from anoncert.harness import ScenarioConfig, run_scenario
-from anoncert.oracle import run_oracle_suite
+from anoncert.oracle import CHECKS, run_oracle_suite
 from anoncert.vectors import PUBLISHED_VECTORS, verify_published_vectors
 
 
@@ -86,6 +86,27 @@ class TestScenario:
         assert report.voters[0].error == "Ineligible: refused by the test"
         assert [v.status for v in report.voters[1:]] == ["ok", "ok"]
         assert report.successes == 2
+
+    def test_misrouted_response_is_not_delivered(self, monkeypatch):
+        # a response reaches only the EE the RA routes it to; any other
+        # route is this voter's typed failure, not a finalized credential
+        route, process = harness.ra_route_response, harness.ee_process_response
+        finalized = []
+
+        def misroute(state, resp):
+            return "voter-999", route(state, resp)[1]
+
+        def spy(*args):
+            finalized.append(args)
+            return process(*args)
+
+        monkeypatch.setattr(harness, "ra_route_response", misroute)
+        monkeypatch.setattr(harness, "ee_process_response", spy)
+        report = run_scenario(ScenarioConfig(SECP256R1, 3, 7))
+        assert [v.error for v in report.voters] == [
+            "ProtocolStateError: RA routed the response to voter-999"] * 3
+        assert report.successes == 0 and report.tally == {}
+        assert finalized == []
 
     def test_dump_path_that_is_a_file_refused_before_any_work(
             self, monkeypatch, tmp_path):
@@ -252,6 +273,35 @@ class TestOracle:
         report = run_oracle_suite()
         assert report.group_order == 19
         assert report.all_ok, report.failures
+
+    def test_wrong_group_order_fails_the_verdict(self, monkeypatch):
+        enumerate_all = oracle.enumerate_group
+        monkeypatch.setattr(oracle, "enumerate_group",
+                            lambda *args: enumerate_all(*args)[:-1])
+        report = run_oracle_suite()
+        assert report.group_order == 18
+        assert report.failures == ["group order 18 != declared n 19"]
+        assert all(getattr(report, name) for name in CHECKS)
+        assert not report.all_ok
+        result = CliRunner().invoke(main, ["oracle"])
+        assert result.exit_code == 1
+        assert "  group order 18 != declared n 19" in result.output.splitlines()
+
+    def test_each_flag_reads_its_own_check(self, monkeypatch):
+        mul = oracle.scalar_mul
+
+        def wrong_at_3(k, P):
+            return curve.Point.infinity(TOY) if k.value == 3 else mul(k, P)
+
+        monkeypatch.setattr(oracle, "scalar_mul", wrong_at_3)
+        report = run_oracle_suite()
+        assert [name for name in CHECKS if not getattr(report, name)] == [
+            "scalar_table_ok"]
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("scalar_mul(3, G) = INF")
+        result = CliRunner().invoke(main, ["oracle"])
+        assert result.exit_code == 1
+        assert "[FAIL] scalar_table_ok" in result.output.splitlines()
 
 
 class TestCli:

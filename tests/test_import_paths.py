@@ -8,11 +8,18 @@ submodule of M.
 A second scan keeps the crypto boundary of the package: only `curve` and
 `envelope` import `cryptography`, and only `envelope`, which alone knows
 the ciphertext layouts, imports its AES-GCM or HKDF.
+
+A third keeps the signature boundary: only `certs` imports `sign` or
+`verify` from `envelope`, no other module of the package imports a
+`tbs_bytes` builder, and none reads a message's signature field, so only
+`certs` pairs a message with the bytes its signature covers.
 """
 
 import ast
 import functools
 from pathlib import Path
+
+from anoncert.certs import LAYOUT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "anoncert"
@@ -123,3 +130,51 @@ def test_a_cryptography_import_is_found():
                      "cryptography.hazmat.primitives.asymmetric.ec"}
     assert _aead_or_kdf(names)
     assert not _aead_or_kdf({"cryptography.hazmat.primitives.asymmetric.ec"})
+
+
+SIGNATURE_FIELDS = {layout.signature for layout in LAYOUT.values()}
+
+
+def _signature_handling(tree: ast.AST) -> set:
+    """What `tree` uses to sign or check a message by hand: `module.name`
+    of each `sign` or `verify` of `envelope` and each `*tbs_bytes` of
+    `certs` that it imports or reads off those modules, and `.field` of
+    each signature field it reads."""
+
+    def by_hand(module, name):
+        return ((module == "envelope" and name in ("sign", "verify"))
+                or (module == "certs" and name.endswith("tbs_bytes")))
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[-1]
+            found.update(f"{module}.{alias.name}" for alias in node.names
+                         if by_hand(module, alias.name))
+        elif isinstance(node, ast.Attribute):
+            if node.attr in SIGNATURE_FIELDS:
+                found.add(f".{node.attr}")
+            elif isinstance(node.value, ast.Name) and by_hand(node.value.id,
+                                                              node.attr):
+                found.add(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_only_certs_signs_and_checks_messages():
+    uses = {path.name: _signature_handling(ast.parse(path.read_text()))
+            for path in PACKAGE.glob("*.py")}
+    assert {name for name, used in uses.items() if used} == {"certs.py"}
+
+
+def test_a_signature_check_by_hand_is_found():
+    tree = ast.parse(
+        "from .envelope import digest, verify\n"
+        "from anoncert.certs import signed, tbs_bytes, verify_signed\n"
+        "from . import envelope\n"
+        "def check(req, key):\n"
+        "    return (verify(key, tbs_bytes(req), req.signature)\n"
+        "            and envelope.sign is not None\n"
+        "            and req.preexisting_cert.issuer_signature)\n")
+    assert _signature_handling(tree) == {
+        "envelope.verify", "certs.tbs_bytes", "envelope.sign", ".signature",
+        ".issuer_signature"}
