@@ -20,11 +20,13 @@ key it derives (`Scalar.openssl_key`) for as long as the `Scalar` lives,
 so a long-lived authority key is derived once, and dropping the `Scalar`
 drops the OpenSSL key with it.
 
-Every other k*P is `_mul`, a Lim-Lee comb over a table of 63 multiples
-of P cached on the `Point` (`Point.comb_table`): all k*P on the toy
-curve, and on the named curves only the u2*Q of verification, whose
-scalar comes from the public signature and message. G of a named curve
-never takes the comb. The comb's running time depends on the scalar, and
+Every other k*P is `_mul`, a Lim-Lee comb: all k*P on the toy curve,
+and on the named curves only the u2*Q of verification, whose scalar
+comes from the public signature and message. A `Point`'s first `_mul`
+walks a small table dropped after the call, so a key checked once (each
+ballot's K) keeps nothing; later ones walk a larger table kept on the
+`Point` (`Point.comb_table`), built once per object for a reused key
+such as the CA's. G of a named curve never takes the comb. The comb's running time depends on the scalar, and
 no private key, blinding scalar or ECDH secret on a named curve reaches
 it or the Python point addition.
 """
@@ -52,7 +54,8 @@ SECP256R1 = "secp256r1"
 TOY = "toy"
 
 SCALAR_BYTES = 32
-COMB_TEETH = 6  # a comb table holds the 2**6 - 1 nonzero tooth sums
+COMB_TEETH = 6  # a kept comb table holds the 2**6 - 1 nonzero tooth sums
+FIRST_USE_TEETH = 4  # the throwaway table of a Point's first `_mul`
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,10 @@ class Point:
 
     @cached_property
     def comb_table(self) -> tuple:
-        """This point's comb table of Jacobian entries (`_build_comb`),
-        built by its first `_mul` and kept for the object's lifetime;
-        equal points built separately have separate tables."""
-        return _build_comb(self)
+        """This point's COMB_TEETH comb table (`_build_comb`), built by its
+        second `_mul` and kept for the object's lifetime; equal points
+        built separately have separate tables."""
+        return _build_comb(self, COMB_TEETH)
 
 
 @dataclass(frozen=True)
@@ -255,10 +258,15 @@ def _jac_double(P, p: int, a: int):
     X, Y, Z = P
     if Z == 0 or Y == 0:
         return _JAC_INF
-    S = 4 * X * Y * Y % p
-    M = (3 * X * X + a * Z ** 4) % p
+    YY = Y * Y % p
+    ZZ = Z * Z % p
+    S = 4 * X * YY % p
+    if a + 3 == p:  # 3X^2 + aZ^4 = 3(X - Z^2)(X + Z^2), as on secp256r1
+        M = 3 * (X - ZZ) * (X + ZZ) % p
+    else:
+        M = (3 * X * X + a * ZZ * ZZ) % p
     X3 = (M * M - 2 * S) % p
-    Y3 = (M * (S - X3) - 8 * Y ** 4) % p
+    Y3 = (M * (S - X3) - 8 * YY * YY) % p
     Z3 = 2 * Y * Z % p
     return (X3, Y3, Z3)
 
@@ -291,6 +299,27 @@ def _jac_add(P, Q, p: int, a: int):
     return (X3, Y3, Z3)
 
 
+def _jac_add_affine(P, Q, p: int, a: int):
+    """P + Q for a Jacobian P and an affine comb entry Q = (x, y), or
+    None for the identity."""
+    if Q is None:
+        return P
+    X1, Y1, Z1 = P
+    if Z1 == 0:
+        return (Q[0], Q[1], 1)
+    Z1Z1 = Z1 * Z1 % p
+    H = (Q[0] * Z1Z1 - X1) % p
+    R = (Q[1] * Z1 * Z1Z1 - Y1) % p
+    if H == 0:
+        return _jac_double(P, p, a) if R == 0 else _JAC_INF
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X1 * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    Y3 = (R * (V - X3) - Y1 * HHH) % p
+    return (X3, Y3, Z1 * H % p)
+
+
 def _jac_to_affine(P, p: int, curve_id: str) -> Point:
     X, Y, Z = P
     if Z == 0:
@@ -314,40 +343,61 @@ def scalar_mul(k: Scalar, P: Point) -> Point:
     return Point(params.curve_id, public.x, public.y)
 
 
-def _build_comb(P: Point) -> tuple:
+def _build_comb(P: Point, teeth: int) -> tuple:
     """Lim-Lee comb table of P (Lim and Lee, CRYPTO '94): with the
-    scalar's bits cut into COMB_TEETH rows of d = ceil(bits(n) / teeth),
-    entry i is the sum of 2**(j*d) * P over the set bits j of i, in
-    Jacobian form with any Z, which `_jac_add` takes as it is; the
-    identity, which the toy curve's small order makes reachable, has
-    Z = 0. Returns (d, entries).
+    scalar's bits cut into `teeth` rows of d = ceil(bits(n) / teeth),
+    entry i is the sum of 2**(j*d) * P over the set bits j of i, as an
+    affine (x, y), all made affine by one inversion (Montgomery's trick);
+    the identity, which the toy curve's small order makes reachable, is
+    None. Returns (d, entries).
     """
     params = get_curve(P.curve_id)
     p, a = params.p, params.a
-    d = -(-params.n.bit_length() // COMB_TEETH)
-    entries = [_JAC_INF]
+    d = -(-params.n.bit_length() // teeth)
+    jac = [_JAC_INF]
     tooth = _to_jac(P)
-    for j in range(COMB_TEETH):
+    for j in range(teeth):
         if j:
             for _ in range(d):
                 tooth = _jac_double(tooth, p, a)
-        entries += [_jac_add(e, tooth, p, a) for e in entries]
+        jac += [_jac_add(e, tooth, p, a) for e in jac]
+    prefix, acc = [], 1  # prefix[i]: product of the nonzero Zs before i
+    for _, _, Z in jac:
+        prefix.append(acc)
+        acc = acc * Z % p if Z else acc
+    inv = pow(acc, -1, p)
+    entries = [None] * len(jac)
+    for i in reversed(range(len(jac))):
+        X, Y, Z = jac[i]
+        if Z:
+            z_inv = inv * prefix[i] % p
+            inv = inv * Z % p
+            z_inv2 = z_inv * z_inv % p
+            entries[i] = (X * z_inv2 % p, Y * z_inv2 * z_inv % p)
     return d, tuple(entries)
 
 
 def _mul(k_val: int, P: Point) -> Point:
-    """k_val*P for k_val >= 0 and an on-curve P: one double and one add
-    per comb column of P's cached table, top column first."""
+    """k_val*P for k_val >= 0 and an on-curve P: one double and one mixed
+    add per comb column, top column first. P's first call marks P and walks
+    a FIRST_USE_TEETH table it drops; later calls walk P's kept table (two
+    threads racing on one P at worst build a table twice)."""
     params = get_curve(P.curve_id)
     p, a = params.p, params.a
-    d, entries = P.comb_table
+    state = vars(P)
+    if "multiplied_once" in state:
+        teeth, (d, entries) = COMB_TEETH, P.comb_table
+    else:
+        state["multiplied_once"] = True
+        teeth = FIRST_USE_TEETH
+        d, entries = _build_comb(P, teeth)
     # column col of the comb reads bits col, col + d, ... of the
-    # COMB_TEETH * d-bit big-endian string, top tooth first
-    bits = format(k_val % params.n, f"0{COMB_TEETH * d}b")
+    # teeth * d-bit big-endian string, top tooth first
+    bits = format(k_val % params.n, f"0{teeth * d}b")
     acc = _JAC_INF
     for col in range(d):
-        acc = _jac_add(_jac_double(acc, p, a), entries[int(bits[col::d], 2)],
-                       p, a)
+        acc = _jac_add_affine(_jac_double(acc, p, a),
+                              entries[int(bits[col::d], 2)], p, a)
     return _jac_to_affine(acc, p, params.curve_id)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anoncert import actors
+from anoncert import actors, curve
 from anoncert.actors import (
     CaState,
     EeState,
@@ -731,6 +731,35 @@ class TestBallots:
                          ballot_tbs_bytes(unsigned))
         forged = dataclasses.replace(unsigned, signature=sig)
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)
+
+    def test_box_keeps_only_the_ca_comb_table(self, monkeypatch):
+        # a tally meets each ballot's K once, so K's `_mul` walks a
+        # throwaway table; only the CA key, reused by every ballot,
+        # builds a kept one
+        params = get_curve(SECP256R1)
+        rng = DeterministicRng(3)
+        ca = generate_keypair(params, rng)
+        box = []
+        for i in range(200):
+            voter = generate_keypair(params, rng)
+            cert = issue_certificate(ca.private, "CA", "", voter.public,
+                                     VALIDITY, KIND_ANONYMOUS, rng)
+            box.append(encode(signed(Ballot, voter.private,
+                                     payload=b"ballot %d" % i,
+                                     anon_cert=cert)))
+        kept = []
+        build = curve._build_comb
+
+        def spy(P, teeth):
+            if teeth == curve.COMB_TEETH:
+                kept.append(P)
+            return build(P, teeth)
+
+        monkeypatch.setattr(curve, "_build_comb", spy)
+        verdicts = [verify_ballot(decode(b, Ballot), ca.public, NOW)
+                    for b in box]
+        assert all(verdicts)
+        assert len(kept) == 1 and kept[0] is ca.public
 
     def test_expired_cert_fails(self):
         setup = Setup()

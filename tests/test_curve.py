@@ -155,66 +155,113 @@ class TestVariableBase:
     def test_full_point_matches_native(self, named_curve, edge_scalars):
         # k*(j*G) == (k*j mod n)*G, the right side computed in OpenSSL;
         # ECDH compares only x, so this is the full-point check of `_mul`.
-        # Each k runs on a fresh P, whose comb table it builds, and on one
-        # shared P, whose cached table every k after the first walks.
+        # Each k runs on a fresh P, whose first `_mul` walks a throwaway
+        # FIRST_USE_TEETH table, and on one shared P, which walks its kept
+        # COMB_TEETH table. On a 256-bit n the tables' columns are d = 43
+        # and d = 64 bits high, so 2^43 and 2^64 are their second teeth;
+        # 2^(bits(n) - 1) - 1 is the largest all-ones value below n.
         params = named_curve
+        n = params.n
         rand = random.Random(8)
-        shared_j = Scalar(params.curve_id, rand.randrange(1, params.n))
+        shared_j = Scalar(params.curve_id, rand.randrange(1, n))
         shared = scalar_mul(shared_j, params.g)
-        for k in edge_scalars(params.n, count=30):
-            fresh_j = Scalar(params.curve_id, rand.randrange(1, params.n))
+        assert _mul(1, shared) == shared
+        assert "comb_table" not in vars(shared)
+        comb_edges = [2, 15, 16, 2 ** 43 - 1, 2 ** 43 + 1, 2 ** 64 - 1,
+                      2 ** 64 + 1, n - 2, 2 ** (n.bit_length() - 1) - 1]
+        for k in comb_edges + edge_scalars(n, count=30):
+            fresh_j = Scalar(params.curve_id, rand.randrange(1, n))
             fresh = scalar_mul(fresh_j, params.g)
             for j, P in ((fresh_j, fresh), (shared_j, shared)):
-                want = scalar_mul(
-                    Scalar(params.curve_id, k * j.value % params.n),
-                    params.g)
+                want = scalar_mul(Scalar(params.curve_id, k * j.value % n),
+                                  params.g)
                 assert _mul(k, P) == want, hex(k)
+            assert "multiplied_once" in vars(fresh)
+            assert "comb_table" not in vars(fresh)
+            assert "comb_table" in vars(shared)
 
     def test_toy_exhaustive_matches_oracle(self, toy):
-        # every point and every k in [0, 2n): some comb entries of the
-        # order-19 group are the identity (entry 0b010011 sums 1 + 2 + 16
-        # = n times P), which no named curve reaches
+        # every point and every k in [0, 2n), through both walks: on a
+        # fresh Point (the first-use table) and on one shared Point per P
+        # (its kept table, warmed by one checked call). Some kept entries
+        # of the order-19 group are the identity (entry 0b010011 sums
+        # 1 + 2 + 16 = n times P), which no named curve reaches.
         for P in enumerate_group(toy.p, toy.a, toy.b):
-            point = _to_point(P)
+            shared = _to_point(P)
+            assert _mul(1, shared) == shared
             for k in range(2 * toy.n):
-                assert _mul(k, point) == _to_point(
-                    oracle_mul(k, P, toy.p, toy.a)), (P, k)
+                want = _to_point(oracle_mul(k, P, toy.p, toy.a))
+                assert _mul(k, _to_point(P)) == want, (P, k)
+                assert _mul(k, shared) == want, (P, k)
+            assert "comb_table" in vars(shared)
+
+    def test_mixed_add_of_equal_and_opposite_points(self, named_curve):
+        # a walk over a reduced scalar never adds an entry equal or
+        # opposite to the running sum, so this calls the mixed addition
+        # directly: P + P doubles and P + (-P) is the identity, whatever
+        # the Jacobian Z of the first operand
+        params = named_curve
+        p = params.p
+        P = scalar_mul(Scalar(params.curve_id, 5), params.g)
+        Z = 7
+        jac = (P.x * Z * Z % p, P.y * Z ** 3 % p, Z)
+        doubled = curve._jac_add_affine(jac, (P.x, P.y), p, params.a)
+        assert (curve._jac_to_affine(doubled, p, params.curve_id)
+                == point_add(P, P))
+        assert curve._jac_add_affine(jac, (P.x, p - P.y), p, params.a)[2] == 0
 
     def test_comb_table_cached_per_object(self, monkeypatch, named_curve):
+        # a Point's first `_mul` builds a throwaway table; its second
+        # builds the table it keeps, and later ones build none
         params = named_curve
         builds = []
         build = curve._build_comb
 
-        def spy(P):
-            builds.append(P)
-            return build(P)
+        def spy(P, teeth):
+            builds.append((P, teeth))
+            return build(P, teeth)
+
+        def kept():
+            return [P for P, teeth in builds if teeth == curve.COMB_TEETH]
 
         monkeypatch.setattr(curve, "_build_comb", spy)
         signer = generate_keypair(params, DeterministicRng(5))
         for i in range(10):
             msg = b"message %d" % i
             assert verify(signer.public, msg, sign(signer.private, msg))
-        assert len(builds) == 1 and builds[0] is signer.public
+            assert len(kept()) == (0 if i == 0 else 1), i
+        assert [(P is signer.public, teeth) for P, teeth in builds] == [
+            (True, curve.FIRST_USE_TEETH), (True, curve.COMB_TEETH)]
         twin = Point(params.curve_id, signer.public.x, signer.public.y)
-        assert verify(twin, b"message 0", sign(signer.private, b"message 0"))
-        assert len(builds) == 2 and builds[1] is twin
+        signature = sign(signer.private, b"message 0")
+        assert verify(twin, b"message 0", signature)
+        assert len(kept()) == 1
+        assert verify(twin, b"message 0", signature)
+        assert len(kept()) == 2 and kept()[1] is twin
 
     def test_cached_state_is_not_a_field(self, brainpool):
-        # the comb table and the OpenSSL key stay out of eq, hash, replace
-        # and asdict
+        # the first-use mark, the comb table and the OpenSSL key stay out
+        # of eq, hash, replace and asdict
         k = Scalar(BRAINPOOL_P256R1, 7)
         P = scalar_mul(k, brainpool.g)
+        once_P = Point(BRAINPOOL_P256R1, P.x, P.y)
+        _mul(3, once_P)
+        _mul(3, P)
         _mul(3, P)
         fresh_k = Scalar(BRAINPOOL_P256R1, 7)
         fresh_P = Point(BRAINPOOL_P256R1, P.x, P.y)
-        assert "openssl_key" in vars(k) and "comb_table" in vars(P)
+        assert "openssl_key" in vars(k)
+        assert {"multiplied_once", "comb_table"} <= set(vars(P))
+        assert "multiplied_once" in vars(once_P)
+        assert "comb_table" not in vars(once_P)
         assert (k, hash(k)) == (fresh_k, hash(fresh_k))
-        assert (P, hash(P)) == (fresh_P, hash(fresh_P))
+        for Q in (P, once_P):
+            assert (Q, hash(Q)) == (fresh_P, hash(fresh_P))
+            assert set(dataclasses.asdict(Q)) == {"curve_id", "x", "y"}
+            assert set(vars(dataclasses.replace(Q))) == {"curve_id", "x", "y"}
         assert dataclasses.asdict(k) == {"curve_id": BRAINPOOL_P256R1,
                                          "value": 7}
-        assert set(dataclasses.asdict(P)) == {"curve_id", "x", "y"}
         assert "openssl_key" not in vars(dataclasses.replace(k, value=8))
-        assert "comb_table" not in vars(dataclasses.replace(P))
 
 
 class TestGenerateKeypair:

@@ -208,9 +208,9 @@ def refuse_ballot(monkeypatch, index):
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     # On the named curves every k*G and every ECDH runs in OpenSSL; the
-    # Python `_mul` only computes u2*Q of the eight verifications per
-    # voter, so no private key, blinding scalar or ECDH secret goes
-    # through it.
+    # Python `_mul`, the only way into both comb walks, only computes
+    # u2*Q of the eight verifications per voter, so no private key,
+    # blinding scalar or ECDH secret goes through either walk.
     mul = curve._mul
     in_verify = []
 
