@@ -19,10 +19,13 @@ serves, and an ephemeral ECIES key once for its k*G and its ECDH; the
 OpenSSL key is dropped with its `Scalar`. Verification is a predicate
 that never raises: a key off its tagged curve, or a signature tagged
 with another curve, verifies nothing. It checks the range of r and s in
-Python, computes u1*G in OpenSSL and the public u2*Q with the
-variable-time Python comb of `curve` over the signer point's cached
-table, so repeated checks under one `Point` object (the CA, RA and
-identity-root keys) build that table once.
+Python and computes u1*G + u2*Q, whose scalars are public, with
+`curve.mul_add`: u2*Q in the variable-time Python comb of `curve`, and
+u1*G in OpenSSL where OpenSSL has a table of G's multiples (secp256r1),
+otherwise in the same comb walk. A signer point's first check walks a
+table built for it and dropped, and its second builds the table kept on
+that `Point` object, so the CA, RA and identity-root keys build theirs
+once.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from .curve import (
     curve_of,
     generate_keypair,
     is_on_curve,
-    point_add,
-    scalar_mul,
+    mul_add,
 )
 from .errors import (
     AnoncertError,
@@ -179,7 +181,7 @@ def verify(signer_public: Point, message: bytes, sig: Signature) -> bool:
     w = pow(sig.s.value, -1, n)
     u1 = Scalar(params.curve_id, e * w % n)
     u2 = Scalar(params.curve_id, sig.r.value * w % n)
-    R = point_add(scalar_mul(u1, params.g), scalar_mul(u2, signer_public))
+    R = mul_add(u1, u2, signer_public)
     if R.is_infinity:
         return False
     return R.x % n == sig.r.value

@@ -19,6 +19,7 @@ from anoncert.curve import (
     generate_keypair,
     get_curve,
     is_on_curve,
+    mul_add,
     point_add,
     scalar_mul,
     _mul,
@@ -33,7 +34,8 @@ from anoncert.errors import (
     RngFailure,
     UnknownCurve,
 )
-from anoncert.oracle import INF, _to_point, enumerate_group, oracle_mul
+from anoncert.oracle import (INF, _to_point, enumerate_group, oracle_add,
+                             oracle_mul)
 from anoncert.rng import DeterministicRng
 
 # Chain constants shared with the published-vector fixtures; reproduced
@@ -195,6 +197,45 @@ class TestVariableBase:
                 assert _mul(k, shared) == want, (P, k)
             assert "comb_table" in vars(shared)
 
+    def test_mul_add_matches_native(self, named_curve):
+        # u1*G + u2*(q*G) == ((u1 + u2*q) mod n)*G, the right side computed
+        # in OpenSSL, on a fresh Q (first-use tables) and on one shared Q
+        # (kept tables); the edges are the columns' tooth boundaries
+        params = named_curve
+        n = params.n
+        rand = random.Random(9)
+        shared_q = Scalar(params.curve_id, rand.randrange(1, n))
+        shared = scalar_mul(shared_q, params.g)
+        edges = [0, 1, n - 1, 2 ** 43 - 1, 2 ** 43 + 1, 2 ** 64 - 1, 2 ** 64 + 1]
+        for u1 in edges:
+            for u2 in edges:
+                fresh_q = Scalar(params.curve_id, rand.randrange(1, n))
+                fresh = scalar_mul(fresh_q, params.g)
+                for q, Q in ((fresh_q, fresh), (shared_q, shared)):
+                    want = scalar_mul(
+                        Scalar(params.curve_id, (u1 + u2 * q.value) % n),
+                        params.g)
+                    got = mul_add(Scalar(params.curve_id, u1),
+                                  Scalar(params.curve_id, u2), Q)
+                    assert got == want, (hex(u1), hex(u2))
+        assert "comb_table" in vars(shared)
+
+    def test_toy_mul_add_exhaustive_matches_oracle(self, toy):
+        # every (u1, u2, Q) of the order-19 group through the joint walk,
+        # once on a fresh Point per case (first-use tables) and once on
+        # one shared Point per Q (its kept table)
+        G = (toy.gx, toy.gy)
+        for Q in enumerate_group(toy.p, toy.a, toy.b):
+            shared = _to_point(Q)
+            for u1 in range(toy.n):
+                for u2 in range(toy.n):
+                    want = _to_point(oracle_add(oracle_mul(u1, G),
+                                                oracle_mul(u2, Q)))
+                    args = Scalar(TOY, u1), Scalar(TOY, u2)
+                    assert mul_add(*args, _to_point(Q)) == want, (Q, u1, u2)
+                    assert mul_add(*args, shared) == want, (Q, u1, u2)
+            assert "comb_table" in vars(shared)
+
     def test_mixed_add_of_equal_and_opposite_points(self, named_curve):
         # a walk over a reduced scalar never adds an entry equal or
         # opposite to the running sum, so this calls the mixed addition
@@ -212,8 +253,11 @@ class TestVariableBase:
 
     def test_comb_table_cached_per_object(self, monkeypatch, named_curve):
         # a Point's first `_mul` builds a throwaway table; its second
-        # builds the table it keeps, and later ones build none
-        params = named_curve
+        # builds the table it keeps, and later ones build none. G's tables
+        # are built once per curve record, here a fresh one, and only
+        # where the comb walk computes u1*G.
+        record = dataclasses.replace(named_curve)
+        monkeypatch.setitem(curve.CURVES, record.curve_id, record)
         builds = []
         build = curve._build_comb
 
@@ -221,23 +265,30 @@ class TestVariableBase:
             builds.append((P, teeth))
             return build(P, teeth)
 
+        def signer_builds():
+            return [(P, teeth) for P, teeth in builds if P != record.g]
+
         def kept():
-            return [P for P, teeth in builds if teeth == curve.COMB_TEETH]
+            return [P for P, teeth in signer_builds()
+                    if teeth == curve.COMB_TEETH]
 
         monkeypatch.setattr(curve, "_build_comb", spy)
-        signer = generate_keypair(params, DeterministicRng(5))
+        signer = generate_keypair(record, DeterministicRng(5))
         for i in range(10):
             msg = b"message %d" % i
             assert verify(signer.public, msg, sign(signer.private, msg))
             assert len(kept()) == (0 if i == 0 else 1), i
-        assert [(P is signer.public, teeth) for P, teeth in builds] == [
+        assert [(P is signer.public, teeth) for P, teeth in signer_builds()] == [
             (True, curve.FIRST_USE_TEETH), (True, curve.COMB_TEETH)]
-        twin = Point(params.curve_id, signer.public.x, signer.public.y)
+        twin = Point(record.curve_id, signer.public.x, signer.public.y)
         signature = sign(signer.private, b"message 0")
         assert verify(twin, b"message 0", signature)
         assert len(kept()) == 1
         assert verify(twin, b"message 0", signature)
         assert len(kept()) == 2 and kept()[1] is twin
+        g_builds = [teeth for P, teeth in builds if P == record.g]
+        assert g_builds == ([] if record.openssl_g_table else
+                            [curve.FIRST_USE_TEETH, curve.COMB_TEETH])
 
     def test_cached_state_is_not_a_field(self, brainpool):
         # the first-use mark, the comb table and the OpenSSL key stay out

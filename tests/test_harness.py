@@ -208,33 +208,36 @@ def refuse_ballot(monkeypatch, index):
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     # On the named curves every k*G and every ECDH runs in OpenSSL; the
-    # Python `_mul`, the only way into both comb walks, only computes
-    # u2*Q of the eight verifications per voter, so no private key,
-    # blinding scalar or ECDH secret goes through either walk.
+    # Python `_mul`, the only way into the comb walk, computes only the
+    # u2*Q, or on brainpoolP256r1 the joint u1*G + u2*Q, of the eight
+    # verifications per voter, so no private key, blinding scalar or
+    # ECDH secret goes through it.
     mul = curve._mul
-    in_verify = []
+    walks = []
 
-    def spy(k_val, P):
+    def spy(*args):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not envelope.verify.__code__:
             frame = frame.f_back
-        in_verify.append(frame is not None)
-        return mul(k_val, P)
+        walks.append((frame is not None, len(args) == 3))
+        return mul(*args)
 
     monkeypatch.setattr(curve, "_mul", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    assert len(in_verify) == 8 * 5
-    assert all(in_verify)
+    joint = curve_id == BRAINPOOL_P256R1
+    assert walks == [(True, joint)] * (8 * 5)
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     # The CA, RA and identity-root keys are derived once per run. Each
-    # voter then costs 14: the 8 u1*G of its verifications, 2 expansion
-    # r*G, its own key, 2 ECIES ephemeral keys (each ECDH reuses its k*G
-    # derivation) and the k*G == K check. Every signature and decryption
-    # reuses a key derived earlier (123 when each use derived its own).
+    # voter then costs 6: 2 expansion r*G, its own key, 2 ECIES ephemeral
+    # keys (each ECDH reuses its k*G derivation) and the k*G == K check.
+    # On secp256r1 the u1*G of its 8 verifications adds 8 more; on
+    # brainpoolP256r1 the comb walk computes them. Every signature and
+    # decryption reuses a key derived earlier (123 when each use derived
+    # its own, on secp256r1).
     derive = ec.derive_private_key
     calls = []
 
@@ -245,7 +248,8 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     monkeypatch.setattr(ec, "derive_private_key", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    assert len(calls) == 3 + 14 * 5
+    per_voter = 6 if curve_id == BRAINPOOL_P256R1 else 6 + 8
+    assert len(calls) == 3 + per_voter * 5
 
 
 def corrupted_brainpool_k():

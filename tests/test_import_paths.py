@@ -13,6 +13,10 @@ A third keeps the signature boundary: only `certs` imports `sign` or
 `verify` from `envelope`, no other module of the package imports a
 `tbs_bytes` builder, and none reads a message's signature field, so only
 `certs` pairs a message with the bytes its signature covers.
+
+A fourth keeps the public-scalar boundary: in `src/`, only `envelope`
+uses `curve.mul_add`, whose variable-time comb walk may take u1*G, so
+only ECDSA verification's public scalars reach it.
 """
 
 import ast
@@ -178,3 +182,34 @@ def test_a_signature_check_by_hand_is_found():
     assert _signature_handling(tree) == {
         "envelope.verify", "certs.tbs_bytes", "envelope.sign", ".signature",
         ".issuer_signature"}
+
+
+def _public_scalar_walks(tree: ast.AST) -> set:
+    """Each way `tree` reaches `curve.mul_add`: `import mul_add`, a call
+    or read of the bare name, or `module.mul_add`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update(f"import {alias.name}" for alias in node.names
+                         if alias.name == "mul_add")
+        elif isinstance(node, ast.Name) and node.id == "mul_add":
+            found.add("mul_add")
+        elif isinstance(node, ast.Attribute) and node.attr == "mul_add":
+            found.add(f"{getattr(node.value, 'id', '?')}.mul_add")
+    return found
+
+
+def test_only_envelope_walks_public_scalars():
+    uses = {path.name: _public_scalar_walks(ast.parse(path.read_text()))
+            for path in PACKAGE.glob("*.py")}
+    assert {name for name, used in uses.items() if used} == {"envelope.py"}
+
+
+def test_a_public_scalar_walk_is_found():
+    tree = ast.parse(
+        "from .curve import mul_add, scalar_mul\n"
+        "from . import curve\n"
+        "def blind(r, P):\n"
+        "    return curve.mul_add(r, r, P), mul_add(r, r, P)\n")
+    assert _public_scalar_walks(tree) == {
+        "import mul_add", "curve.mul_add", "mul_add"}
