@@ -267,7 +267,7 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     r_ca = Scalar.from_bytes(r_ca_bytes, params.curve_id)
     temp_private = expand_private(state.private, state.secrets.r_ra)
     formal_private = expand_private(temp_private, r_ca)
-    if scalar_mul(formal_private, params.g) != anon_cert.public_key:
+    if scalar_mul(formal_private) != anon_cert.public_key:
         raise KeyMismatch("formal private key does not match certificate key")
     if not verify_certificate(anon_cert, ca_public, now, KIND_ANONYMOUS):
         raise BadCertificate("anonymous certificate does not verify")

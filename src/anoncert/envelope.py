@@ -20,12 +20,13 @@ OpenSSL key is dropped with its `Scalar`. Verification is a predicate
 that never raises: a key off its tagged curve, or a signature tagged
 with another curve, verifies nothing. It checks the range of r and s in
 Python and computes u1*G + u2*Q, whose scalars are public, with
-`curve.mul_add`: u2*Q in the variable-time Python comb of `curve`, and
-u1*G in OpenSSL where OpenSSL has a table of G's multiples (secp256r1),
-otherwise in the same comb walk. A signer point's first check walks a
-table built for it and dropped, and its second builds the table kept on
-that `Point` object, so the CA, RA and identity-root keys build theirs
-once.
+`curve.mul_add`, the only way into the variable-time Python comb of
+`curve` on a named curve (`curve.scalar_mul` computes k*G only): u2*Q
+in the comb, and u1*G in OpenSSL where OpenSSL has a table of G's
+multiples (secp256r1), otherwise in the same comb walk. A signer
+point's first check walks a table built for it and dropped, and its
+second builds the table kept on that `Point` object, so the CA, RA and
+identity-root keys build theirs once.
 """
 
 from __future__ import annotations

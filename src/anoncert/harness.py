@@ -88,8 +88,8 @@ class RunReport:
 
 def dump_transcript(log: list, directory) -> None:
     """Write each logged message as an uppercase-hex file for offline
-    inspection, numbered in delivery order."""
-    os.makedirs(directory, exist_ok=True)
+    inspection, numbered in delivery order, into the existing
+    `directory`."""
     for idx, (actor, direction, message) in enumerate(log):
         name = f"{idx:04d}_{actor}_{direction}.hex"
         with open(os.path.join(directory, name), "w") as fh:
@@ -112,10 +112,17 @@ def _leaks(log: list, actor: str, forbidden: list) -> list:
 
 def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
     # files already in dump_dir would mix with this run's transcript, and
-    # anything else there would fail the dump only after the whole run
-    if dump_dir is not None and os.path.lexists(dump_dir) and (
-            not os.path.isdir(dump_dir) or os.listdir(dump_dir)):
-        raise ValueError(f"dump path {dump_dir} is not an empty directory")
+    # a path that cannot be a directory would fail the dump only after
+    # the whole run, so both are refused before any work
+    if dump_dir is not None:
+        try:
+            os.makedirs(dump_dir, exist_ok=True)
+            entries = os.listdir(dump_dir)
+        except OSError as exc:
+            raise ValueError(f"dump path {dump_dir} is not a usable "
+                             f"directory: {exc.strerror}") from None
+        if entries:
+            raise ValueError(f"dump path {dump_dir} is not an empty directory")
     params = get_curve(cfg.curve_id)
     root = DeterministicRng(cfg.rng_seed)
 

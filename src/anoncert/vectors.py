@@ -100,14 +100,14 @@ def check_chain(chain: VectorChain) -> list[RelationResult]:
         results.append(RelationResult(cid, relation, expected == computed,
                                       expected, computed))
 
-    note("I = i*G", I_pub.to_hex(), scalar_mul(i, params.g).to_hex())
+    note("I = i*G", I_pub.to_hex(), scalar_mul(i).to_hex())
     note("J = I + r_RA*G", J_pub.to_hex(), expand_public(I_pub, r_ra).to_hex())
     note("K = J + r_CA*G", K_pub.to_hex(), expand_public(J_pub, r_ca).to_hex())
     note("j = (i + r_RA) mod n", j_exp.to_hex(),
          expand_private(i, r_ra).to_hex())
     note("k = (j + r_CA) mod n", k_exp.to_hex(),
          expand_private(j_exp, r_ca).to_hex())
-    note("k*G = K", K_pub.to_hex(), scalar_mul(k_exp, params.g).to_hex())
+    note("k*G = K", K_pub.to_hex(), scalar_mul(k_exp).to_hex())
     return results
 
 

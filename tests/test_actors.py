@@ -147,7 +147,7 @@ def test_published_chain_end_to_end(curve_id, scripted_rng):
     assert result.formal_private.to_hex() == chain["k"]
     assert fwd.temporary_public_key.to_hex() == "".join(chain["J"])
     assert result.anon_cert.public_key.to_hex() == "".join(chain["K"])
-    assert scalar_mul(result.formal_private, params.g) == \
+    assert scalar_mul(result.formal_private) == \
         result.anon_cert.public_key
 
 
@@ -574,7 +574,7 @@ class TestEeFinalization:
         setup.run_flow()
         result = setup.ee.result
         params = setup.params
-        assert scalar_mul(result.formal_private, params.g) == \
+        assert scalar_mul(result.formal_private) == \
             result.anon_cert.public_key
 
 

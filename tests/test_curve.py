@@ -62,7 +62,7 @@ class TestPointAdd:
 
     def test_inverse_pair(self, brainpool):
         g = brainpool.g
-        minus_g = scalar_mul(Scalar(brainpool.curve_id, brainpool.n - 1), g)
+        minus_g = scalar_mul(Scalar(brainpool.curve_id, brainpool.n - 1))
         assert (minus_g.x, minus_g.y) == (g.x, brainpool.p - g.y)
         assert point_add(g, minus_g).is_infinity
 
@@ -91,26 +91,26 @@ class TestPointAdd:
 
 class TestScalarMul:
     def test_published_keypair(self, brainpool):
-        pub = scalar_mul(Scalar(brainpool.curve_id, I_PRIV), brainpool.g)
+        pub = scalar_mul(Scalar(brainpool.curve_id, I_PRIV))
         assert (pub.x, pub.y) == I_PUB
 
     def test_identity_scalar(self, named_curve):
         one = Scalar(named_curve.curve_id, 1)
-        assert scalar_mul(one, named_curve.g) == named_curve.g
+        assert scalar_mul(one) == named_curve.g
 
     def test_zero_scalar(self, named_curve):
         zero = Scalar(named_curve.curve_id, 0)
-        assert scalar_mul(zero, named_curve.g).is_infinity
+        assert scalar_mul(zero).is_infinity
 
     def test_order_annihilates(self):
         for params in CURVES.values():
-            result = scalar_mul(Scalar(params.curve_id, params.n), params.g)
+            result = scalar_mul(Scalar(params.curve_id, params.n))
             assert result.is_infinity
 
     def test_toy_matches_repeated_addition(self, toy):
         acc = Point.infinity(TOY)
         for k in range(toy.n):
-            got = scalar_mul(Scalar(TOY, k), toy.g)
+            got = scalar_mul(Scalar(TOY, k))
             assert got == acc
             acc = point_add(acc, toy.g)
 
@@ -118,7 +118,7 @@ class TestScalarMul:
         for _ in range(20):
             k = Scalar(named_curve.curve_id,
                        int.from_bytes(drng.read(32), "big") % named_curve.n)
-            assert is_on_curve(scalar_mul(k, named_curve.g))
+            assert is_on_curve(scalar_mul(k))
 
 
 class TestNativeFixedBase:
@@ -126,22 +126,12 @@ class TestNativeFixedBase:
         # on a named curve k*G runs in OpenSSL; `_mul` is the reference
         params = named_curve
         for k in edge_scalars(params.n):
-            native = scalar_mul(Scalar(params.curve_id, k), params.g)
+            native = scalar_mul(Scalar(params.curve_id, k))
             assert native == _mul(k % params.n, params.g), hex(k)
 
-    def test_operand_checks_come_first(self, brainpool, secp):
-        with pytest.raises(CurveMismatch):
-            scalar_mul(Scalar(SECP256R1, 3), brainpool.g)
-        with pytest.raises(CurveMismatch):
-            scalar_mul(Scalar(BRAINPOOL_P256R1, 3), secp.g)
-        with pytest.raises(NotOnCurve):
-            scalar_mul(Scalar(BRAINPOOL_P256R1, 3),
-                       Point(BRAINPOOL_P256R1, brainpool.gx, brainpool.gy + 1))
-        with pytest.raises(NotOnCurve):  # secp256r1's G tagged brainpool
-            scalar_mul(Scalar(BRAINPOOL_P256R1, 3),
-                       Point(BRAINPOOL_P256R1, secp.gx, secp.gy))
+    def test_operand_checks_come_first(self):
         with pytest.raises(UnknownCurve):
-            scalar_mul(Scalar("nope", 3), Point("nope", 1, 2))
+            scalar_mul(Scalar("nope", 3))
 
     def test_openssl_key_needs_named_curve_and_nonzero_value(self, brainpool):
         with pytest.raises(UnknownCurve):
@@ -166,17 +156,16 @@ class TestVariableBase:
         n = params.n
         rand = random.Random(8)
         shared_j = Scalar(params.curve_id, rand.randrange(1, n))
-        shared = scalar_mul(shared_j, params.g)
+        shared = scalar_mul(shared_j)
         assert _mul(1, shared) == shared
         assert "comb_table" not in vars(shared)
         comb_edges = [2, 15, 16, 2 ** 43 - 1, 2 ** 43 + 1, 2 ** 64 - 1,
                       2 ** 64 + 1, n - 2, 2 ** (n.bit_length() - 1) - 1]
         for k in comb_edges + edge_scalars(n, count=30):
             fresh_j = Scalar(params.curve_id, rand.randrange(1, n))
-            fresh = scalar_mul(fresh_j, params.g)
+            fresh = scalar_mul(fresh_j)
             for j, P in ((fresh_j, fresh), (shared_j, shared)):
-                want = scalar_mul(Scalar(params.curve_id, k * j.value % n),
-                                  params.g)
+                want = scalar_mul(Scalar(params.curve_id, k * j.value % n))
                 assert _mul(k, P) == want, hex(k)
             assert "multiplied_once" in vars(fresh)
             assert "comb_table" not in vars(fresh)
@@ -205,16 +194,15 @@ class TestVariableBase:
         n = params.n
         rand = random.Random(9)
         shared_q = Scalar(params.curve_id, rand.randrange(1, n))
-        shared = scalar_mul(shared_q, params.g)
+        shared = scalar_mul(shared_q)
         edges = [0, 1, n - 1, 2 ** 43 - 1, 2 ** 43 + 1, 2 ** 64 - 1, 2 ** 64 + 1]
         for u1 in edges:
             for u2 in edges:
                 fresh_q = Scalar(params.curve_id, rand.randrange(1, n))
-                fresh = scalar_mul(fresh_q, params.g)
+                fresh = scalar_mul(fresh_q)
                 for q, Q in ((fresh_q, fresh), (shared_q, shared)):
                     want = scalar_mul(
-                        Scalar(params.curve_id, (u1 + u2 * q.value) % n),
-                        params.g)
+                        Scalar(params.curve_id, (u1 + u2 * q.value) % n))
                     got = mul_add(Scalar(params.curve_id, u1),
                                   Scalar(params.curve_id, u2), Q)
                     assert got == want, (hex(u1), hex(u2))
@@ -240,15 +228,16 @@ class TestVariableBase:
         # a walk over a reduced scalar never adds an entry equal or
         # opposite to the running sum, so this calls the mixed addition
         # directly: P + P doubles and P + (-P) is the identity, whatever
-        # the Jacobian Z of the first operand
+        # the Jacobian Z of the first operand. point_add is this same
+        # formula, so OpenSSL's 10*G is the reference for 5*G + 5*G.
         params = named_curve
         p = params.p
-        P = scalar_mul(Scalar(params.curve_id, 5), params.g)
+        P = scalar_mul(Scalar(params.curve_id, 5))
         Z = 7
         jac = (P.x * Z * Z % p, P.y * Z ** 3 % p, Z)
         doubled = curve._jac_add_affine(jac, (P.x, P.y), p, params.a)
         assert (curve._jac_to_affine(doubled, p, params.curve_id)
-                == point_add(P, P))
+                == scalar_mul(Scalar(params.curve_id, 10)))
         assert curve._jac_add_affine(jac, (P.x, p - P.y), p, params.a)[2] == 0
 
     def test_comb_table_cached_per_object(self, monkeypatch, named_curve):
@@ -294,7 +283,7 @@ class TestVariableBase:
         # the first-use mark, the comb table and the OpenSSL key stay out
         # of eq, hash, replace and asdict
         k = Scalar(BRAINPOOL_P256R1, 7)
-        P = scalar_mul(k, brainpool.g)
+        P = scalar_mul(k)
         once_P = Point(BRAINPOOL_P256R1, P.x, P.y)
         _mul(3, once_P)
         _mul(3, P)
@@ -416,7 +405,7 @@ class TestExpansion:
 
     def test_degenerate_public(self, toy):
         # x*G expanded by r = n - x lands on the identity
-        P = scalar_mul(Scalar(TOY, 4), toy.g)
+        P = scalar_mul(Scalar(TOY, 4))
         with pytest.raises(DegenerateResult):
             expand_public(P, Scalar(TOY, toy.n - 4))
 
@@ -429,19 +418,18 @@ class TestExpansion:
                        1 + int.from_bytes(drng.read(32), "big") % (params.n - 1))
             if (x.value + r.value) % params.n == 0:
                 continue
-            left = scalar_mul(expand_private(x, r), params.g)
-            right = expand_public(scalar_mul(x, params.g), r)
+            left = scalar_mul(expand_private(x, r))
+            right = expand_public(scalar_mul(x), r)
             assert left == right
 
     def test_homomorphism_exhaustive_toy(self, toy):
         for x in range(1, toy.n):
-            X = scalar_mul(Scalar(TOY, x), toy.g)
+            X = scalar_mul(Scalar(TOY, x))
             for r in range(1, toy.n):
                 if (x + r) % toy.n == 0:
                     continue
                 left = scalar_mul(
-                    expand_private(Scalar(TOY, x), Scalar(TOY, r)),
-                    toy.g)
+                    expand_private(Scalar(TOY, x), Scalar(TOY, r)))
                 assert left == expand_public(X, Scalar(TOY, r))
 
 
@@ -479,7 +467,7 @@ class TestCurveParams:
         for params in CURVES.values():
             n, p, g = params.n, params.p, params.g
             assert _is_probable_prime(n)
-            minus_g = scalar_mul(Scalar(params.curve_id, n - 1), g)
+            minus_g = scalar_mul(Scalar(params.curve_id, n - 1))
             assert point_add(minus_g, g).is_infinity
             assert 2 * n > p + 1 + 2 * (math.isqrt(p) + 1)
 

@@ -257,7 +257,7 @@ class TestSignatures:
         r, s = 5, 7
         q = Scalar(curve_id, -e * pow(r, -1, n) % n)
         sig = Signature(Scalar(curve_id, r), Scalar(curve_id, s))
-        assert verify(scalar_mul(q, named_curve.g), b"m", sig) is False
+        assert verify(scalar_mul(q), b"m", sig) is False
 
     def test_rfc6979_p256_sha256_sample(self, secp):
         # RFC 6979, appendix A.2.5: P-256, SHA-256, message "sample"
@@ -269,7 +269,7 @@ class TestSignatures:
             "EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716")
         assert sig.s.to_hex() == (
             "F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8")
-        assert verify(scalar_mul(x, secp.g), b"sample", sig)
+        assert verify(scalar_mul(x), b"sample", sig)
 
     def test_toy_curve_cannot_sign(self, toy):
         with pytest.raises(UnknownCurve):

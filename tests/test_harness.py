@@ -125,6 +125,24 @@ class TestScenario:
         assert made == []
         assert path.read_text() == "not a directory\n"
 
+    def test_dump_path_under_a_file_refused_before_any_work(
+            self, monkeypatch, tmp_path):
+        # no directory can be made below a regular file
+        made, keygen = [], harness.generate_keypair
+
+        def spy(params, rng):
+            made.append(params.curve_id)
+            return keygen(params, rng)
+
+        monkeypatch.setattr(harness, "generate_keypair", spy)
+        blocker = tmp_path / "transcript"
+        blocker.write_text("not a directory\n")
+        with pytest.raises(ValueError, match="not a usable directory"):
+            run_scenario(ScenarioConfig(SECP256R1, 3, 7),
+                         dump_dir=blocker / "sub")
+        assert made == []
+        assert blocker.read_text() == "not a directory\n"
+
     def test_invariant_uses_the_drawn_r_ra(self, monkeypatch):
         # j one too high and k right: the voter still gets a working
         # (k, K), and only the r_RA the EE drew shows that j != i + r_RA.
@@ -294,8 +312,8 @@ class TestOracle:
     def test_each_flag_reads_its_own_check(self, monkeypatch):
         mul = oracle.scalar_mul
 
-        def wrong_at_3(k, P):
-            return curve.Point.infinity(TOY) if k.value == 3 else mul(k, P)
+        def wrong_at_3(k):
+            return curve.Point.infinity(TOY) if k.value == 3 else mul(k)
 
         monkeypatch.setattr(oracle, "scalar_mul", wrong_at_3)
         report = run_oracle_suite()
@@ -355,7 +373,7 @@ class TestCli:
         assert [line[0] for line in lines] == ["curve:", "private:", "public:"]
         params = get_curve(lines[0][1])
         private = Scalar(params.curve_id, int(lines[1][1], 16))
-        assert scalar_mul(private, params.g).to_hex() == lines[2][1]
+        assert scalar_mul(private).to_hex() == lines[2][1]
 
     def test_keygen(self):
         result = CliRunner().invoke(
@@ -403,6 +421,16 @@ class TestCli:
         assert result.exit_code == 2
         assert "--dump-dir" in result.output
         assert len(list(tmp_path.iterdir())) == 1
+
+    def test_uncreatable_dump_dir_is_usage_error(self, tmp_path):
+        blocker = tmp_path / "transcript"
+        blocker.write_text("not a directory\n")
+        result = CliRunner().invoke(main, ["demo", "--voters", "1",
+                                           "--dump-dir", str(blocker / "sub")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--dump-dir" in result.output
+        assert "Traceback" not in result.output
 
     def test_largest_seed_accepted(self):
         result = CliRunner().invoke(

@@ -17,6 +17,10 @@ A third keeps the signature boundary: only `certs` imports `sign` or
 A fourth keeps the public-scalar boundary: in `src/`, only `envelope`
 uses `curve.mul_add`, whose variable-time comb walk may take u1*G, so
 only ECDSA verification's public scalars reach it.
+
+A fifth keeps the comb behind that boundary: in `src/`, `curve._mul` is
+called only inside `curve.mul_add` and in `curve.scalar_mul`'s toy-curve
+branch, so on a named curve no other multiply reaches the comb.
 """
 
 import ast
@@ -213,3 +217,60 @@ def test_a_public_scalar_walk_is_found():
         "    return curve.mul_add(r, r, P), mul_add(r, r, P)\n")
     assert _public_scalar_walks(tree) == {
         "import mul_add", "curve.mul_add", "mul_add"}
+
+
+def _comb_walks(tree: ast.AST) -> set:
+    """Each way `tree` reaches the comb, `curve._mul`: `import _mul`, or a
+    read of `_mul` or `module._mul` named by the outermost function around
+    it, with ` if <test>` for the innermost `if` branch it lies in."""
+    found = set()
+
+    def visit(node, function, branch):
+        if isinstance(node, ast.ImportFrom):
+            found.update(f"import {alias.name}" for alias in node.names
+                         if alias.name == "_mul")
+        elif ((isinstance(node, ast.Name) and node.id == "_mul")
+              or (isinstance(node, ast.Attribute) and node.attr == "_mul")):
+            found.add(f"{function} if {branch}" if branch else str(function))
+        if isinstance(node, ast.FunctionDef) and function is None:
+            function = node.name
+        if isinstance(node, ast.If):
+            test = ast.unparse(node.test)
+            visit(node.test, function, branch)
+            for child in node.body:
+                visit(child, function, test)
+            for child in node.orelse:
+                visit(child, function, f"not ({test})")
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, branch)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_only_mul_add_and_the_toy_multiply_walk_the_comb():
+    toy_branch = "scalar_mul if params.openssl_curve is None"
+    uses = {path.name: _comb_walks(ast.parse(path.read_text()))
+            for path in PACKAGE.glob("*.py")}
+    offenders = {(name, use) for name, used in uses.items() for use in used
+                 if name != "curve.py"
+                 or not (use.split()[0] == "mul_add" or use == toy_branch)}
+    assert offenders == set()
+    assert toy_branch in uses["curve.py"]
+    assert any(use.split()[0] == "mul_add" for use in uses["curve.py"])
+
+
+def test_a_comb_walk_is_found():
+    tree = ast.parse(
+        "from .curve import _mul, scalar_mul\n"
+        "from . import curve\n"
+        "def blind(r, P):\n"
+        "    if r.value:\n"
+        "        return curve._mul(r.value, P)\n"
+        "    else:\n"
+        "        return _mul(r.value, P, 1)\n"
+        "def widen(P):\n"
+        "    return _mul(2, P)\n")
+    assert _comb_walks(tree) == {
+        "import _mul", "blind if r.value", "blind if not (r.value)", "widen"}
