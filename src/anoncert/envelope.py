@@ -18,15 +18,17 @@ curve, so an authority key is derived once however many requests it
 serves, and an ephemeral ECIES key once for its k*G and its ECDH; the
 OpenSSL key is dropped with its `Scalar`. Verification is a predicate
 that never raises: a key off its tagged curve, or a signature tagged
-with another curve, verifies nothing. It checks the range of r and s in
-Python and computes u1*G + u2*Q, whose scalars are public, with
+with another curve, verifies nothing. It checks the curve tags, the key
+(finite, with coordinates in [0, p) on its curve: OpenSSL would reduce
+a coordinate >= p) and the range of r and s in Python. On a curve with
+`CurveParams.openssl_verify` (brainpoolP256r1) OpenSSL then makes the
+whole check with the public key loaded per call, which builds no table.
+On secp256r1 it computes u1*G + u2*Q, whose scalars are public, with
 `curve.mul_add`, the only way into the variable-time Python comb of
-`curve` on a named curve (`curve.scalar_mul` computes k*G only): u2*Q
-in the comb, and u1*G in OpenSSL where OpenSSL has a table of G's
-multiples (secp256r1), otherwise in the same comb walk. A signer
-point's first check walks a table built for it and dropped, and its
-second builds the table kept on that `Point` object, so the CA, RA and
-identity-root keys build theirs once.
+`curve` on a named curve: u1*G in OpenSSL and u2*Q in the comb. A
+signer point's first walk uses a table built for it and dropped, and
+its second builds the table kept on that `Point` object, so the CA, RA
+and identity-root keys build theirs once.
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidTag
+from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    decode_dss_signature,
+    encode_dss_signature,
+)
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
@@ -176,6 +181,19 @@ def verify(signer_public: Point, message: bytes, sig: Signature) -> bool:
         return False
     if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
         return False
+    if params.openssl_verify:
+        try:
+            key = ec.EllipticCurvePublicNumbers(
+                signer_public.x, signer_public.y,
+                params.openssl_curve).public_key()
+        except ValueError:
+            return False
+        try:
+            key.verify(encode_dss_signature(sig.r.value, sig.s.value),
+                       message, ec.ECDSA(hashes.SHA256()))
+        except InvalidSignature:
+            return False
+        return True
     # both named curves have a 256-bit n, so ECDSA's truncation of the
     # SHA-256 digest to the bit length of n keeps every bit
     e = int.from_bytes(digest(message), "big") % n

@@ -10,6 +10,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anoncert import envelope
 from anoncert.curve import (
     BRAINPOOL_P256R1,
     SECP256R1,
@@ -18,6 +19,7 @@ from anoncert.curve import (
     _mul,
     generate_keypair,
     get_curve,
+    mul_add,
     scalar_mul,
 )
 from anoncert.envelope import (
@@ -313,9 +315,9 @@ def _openssl_verdict(key: Point, message: bytes, sig: Signature) -> bool:
     return True
 
 
-def _expected_verdict(key: Point, message: bytes, sig: Signature) -> bool:
-    """The checks OpenSSL does not make (one curve tag, a finite key with
-    canonical coordinates on its curve, 1 <= r, s <= n - 1), then OpenSSL."""
+def _prechecks_pass(key: Point, sig: Signature) -> bool:
+    """The checks OpenSSL does not make: one curve tag, a finite key with
+    canonical coordinates on its curve, 1 <= r, s <= n - 1."""
     if not key.curve_id == sig.r.curve_id == sig.s.curve_id:
         return False
     params = get_curve(key.curve_id)
@@ -324,47 +326,96 @@ def _expected_verdict(key: Point, message: bytes, sig: Signature) -> bool:
         return False
     if (key.y ** 2 - key.x ** 3 - params.a * key.x - params.b) % p:
         return False
-    if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
+    return 1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1
+
+
+def _expected_verdict(key: Point, message: bytes, sig: Signature) -> bool:
+    """The prechecks, then OpenSSL."""
+    return _prechecks_pass(key, sig) and _openssl_verdict(key, message, sig)
+
+
+def _python_verdict(key: Point, message: bytes, sig: Signature) -> bool:
+    """The prechecks, then the ECDSA equation in Python: R = u1*G + u2*Q
+    by `mul_add`, accepted when R is finite and R.x mod n == r."""
+    if not _prechecks_pass(key, sig):
         return False
-    return _openssl_verdict(key, message, sig)
+    n = get_curve(key.curve_id).n
+    e = int.from_bytes(digest(message), "big") % n
+    w = pow(sig.s.value, -1, n)
+    R = mul_add(Scalar(key.curve_id, e * w % n),
+                Scalar(key.curve_id, sig.r.value * w % n), key)
+    return not R.is_infinity and R.x % n == sig.r.value
 
 
 VERIFY_CASES = ("valid", "flip", "r", "s", "high_s", "off_curve", "identity",
                 "other_curve", "x+p", "y+p")
 
 
+def _verify_case(curve_id, seed, message, case, edge, bit):
+    """A (key, message, signature) triple: a valid signature by the
+    seed's signer, or that triple with one part broken as `case` names."""
+    params = get_curve(curve_id)
+    p, n = params.p, params.n
+    pair = _signer(curve_id, seed)
+    key, sig = pair.public, sign(pair.private, message)
+    r, s = sig.r.value, sig.s.value
+    value = (0, 1, n - 1, n, n + 1, 2 ** 256 - 1)[edge]
+    if case == "flip":
+        message = _flip_bit(message, bit % (8 * len(message)))
+    elif case in ("r", "s", "high_s"):
+        r, s = {"r": (value, s), "s": (r, value), "high_s": (r, n - s)}[case]
+        sig = Signature(Scalar(curve_id, r), Scalar(curve_id, s))
+    elif case == "other_curve":
+        other = ({BRAINPOOL_P256R1, SECP256R1} - {curve_id}).pop()
+        sig = Signature(Scalar(other, r), Scalar(other, s))
+    elif case != "valid":
+        # an unreduced coordinate that reaches 2**256 has no wire
+        # encoding; the range check refuses it all the same
+        key = {"off_curve": Point(curve_id, key.x, (key.y + 1) % p),
+               "identity": Point.infinity(curve_id),
+               "x+p": Point(curve_id, key.x + p, key.y),
+               "y+p": Point(curve_id, key.x, key.y + p)}[case]
+    return key, message, sig
+
+
+CASE_ARGS = dict(seed=st.integers(0, 7),
+                 message=st.binary(min_size=1, max_size=32),
+                 case=st.sampled_from(VERIFY_CASES), edge=st.integers(0, 5),
+                 bit=st.integers(0, 255))
+
+
 class TestVerifyOracle:
-    # verify against the verdict of OpenSSL behind the Python prechecks:
-    # the reference for a verify that hands the arithmetic to OpenSSL
+    # verify against the verdict of OpenSSL behind the Python prechecks,
+    # and on brainpoolP256r1, where verify is that same pair, also
+    # against the ECDSA equation computed in Python by `mul_add`
     @given(curve_id=st.sampled_from([BRAINPOOL_P256R1, SECP256R1]),
-           seed=st.integers(0, 7), message=st.binary(min_size=1, max_size=32),
-           case=st.sampled_from(VERIFY_CASES), edge=st.integers(0, 5),
-           bit=st.integers(0, 255))
+           **CASE_ARGS)
     @settings(max_examples=300, deadline=None)
     def test_matches_prechecks_then_openssl(self, curve_id, seed, message,
                                             case, edge, bit):
-        params = get_curve(curve_id)
-        p, n = params.p, params.n
-        pair = _signer(curve_id, seed)
-        key, sig = pair.public, sign(pair.private, message)
-        r, s = sig.r.value, sig.s.value
-        value = (0, 1, n - 1, n, n + 1, 2 ** 256 - 1)[edge]
-        if case == "flip":
-            message = _flip_bit(message, bit % (8 * len(message)))
-        elif case in ("r", "s", "high_s"):
-            r, s = {"r": (value, s), "s": (r, value), "high_s": (r, n - s)}[case]
-            sig = Signature(Scalar(curve_id, r), Scalar(curve_id, s))
-        elif case == "other_curve":
-            other = ({BRAINPOOL_P256R1, SECP256R1} - {curve_id}).pop()
-            sig = Signature(Scalar(other, r), Scalar(other, s))
-        elif case != "valid":
-            # an unreduced coordinate that reaches 2**256 has no wire
-            # encoding; the range check refuses it all the same
-            key = {"off_curve": Point(curve_id, key.x, (key.y + 1) % p),
-                   "identity": Point.infinity(curve_id),
-                   "x+p": Point(curve_id, key.x + p, key.y),
-                   "y+p": Point(curve_id, key.x, key.y + p)}[case]
+        key, message, sig = _verify_case(curve_id, seed, message, case,
+                                         edge, bit)
         assert verify(key, message, sig) is _expected_verdict(key, message, sig)
+
+    @given(**CASE_ARGS)
+    @settings(max_examples=300, deadline=None)
+    def test_brainpool_matches_python_mul_add(self, seed, message, case,
+                                              edge, bit):
+        key, message, sig = _verify_case(BRAINPOOL_P256R1, seed, message,
+                                         case, edge, bit)
+        assert verify(key, message, sig) is _python_verdict(key, message, sig)
+
+    def test_key_openssl_refuses_is_false(self, monkeypatch, brainpool):
+        # with the on-curve precheck bypassed, an off-curve key reaches
+        # OpenSSL's key load, whose ValueError verify turns into False
+        monkeypatch.setattr(envelope, "is_on_curve", lambda P: True)
+        pair = _signer(BRAINPOOL_P256R1, 0)
+        sig = sign(pair.private, b"m")
+        off = Point(BRAINPOOL_P256R1, pair.public.x, pair.public.y + 1)
+        with pytest.raises(ValueError):
+            ec.EllipticCurvePublicNumbers(off.x, off.y,
+                                          brainpool.openssl_curve).public_key()
+        assert verify(off, b"m", sig) is False
 
     def test_openssl_alone_accepts_an_unreduced_key(self, brainpool):
         # OpenSSL reduces a coordinate >= p without a word, so it verifies

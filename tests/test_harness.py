@@ -227,24 +227,32 @@ def refuse_ballot(monkeypatch, index):
 def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     # On the named curves every k*G and every ECDH runs in OpenSSL; the
     # Python `_mul`, the only way into the comb walk, computes only the
-    # u2*Q, or on brainpoolP256r1 the joint u1*G + u2*Q, of the eight
-    # verifications per voter, so no private key, blinding scalar or
-    # ECDH secret goes through it.
+    # u2*Q of the eight secp256r1 verifications per voter, so no private
+    # key, blinding scalar or ECDH secret goes through it. brainpoolP256r1
+    # verifies in OpenSSL and builds no comb table at all.
     mul = curve._mul
-    walks = []
+    build = curve._build_comb
+    walks, builds = [], []
 
     def spy(*args):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not envelope.verify.__code__:
             frame = frame.f_back
-        walks.append((frame is not None, len(args) == 3))
+        walks.append((frame is not None, len(args)))
         return mul(*args)
 
+    def build_spy(P, teeth):
+        builds.append(teeth)
+        return build(P, teeth)
+
     monkeypatch.setattr(curve, "_mul", spy)
+    monkeypatch.setattr(curve, "_build_comb", build_spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    joint = curve_id == BRAINPOOL_P256R1
-    assert walks == [(True, joint)] * (8 * 5)
+    if curve_id == BRAINPOOL_P256R1:
+        assert walks == [] and builds == []
+    else:
+        assert walks == [(True, 2)] * (8 * 5)
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
@@ -253,9 +261,9 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     # voter then costs 6: 2 expansion r*G, its own key, 2 ECIES ephemeral
     # keys (each ECDH reuses its k*G derivation) and the k*G == K check.
     # On secp256r1 the u1*G of its 8 verifications adds 8 more; on
-    # brainpoolP256r1 the comb walk computes them. Every signature and
-    # decryption reuses a key derived earlier (123 when each use derived
-    # its own, on secp256r1).
+    # brainpoolP256r1 OpenSSL's verify derives no private key. Every
+    # signature and decryption reuses a key derived earlier (123 when
+    # each use derived its own, on secp256r1).
     derive = ec.derive_private_key
     calls = []
 

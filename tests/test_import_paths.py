@@ -15,8 +15,8 @@ A third keeps the signature boundary: only `certs` imports `sign` or
 `certs` pairs a message with the bytes its signature covers.
 
 A fourth keeps the public-scalar boundary: in `src/`, only `envelope`
-uses `curve.mul_add`, whose variable-time comb walk may take u1*G, so
-only ECDSA verification's public scalars reach it.
+uses `curve.mul_add`, whose variable-time comb walk takes u2, so only
+ECDSA verification's public scalars reach it.
 
 A fifth keeps the comb behind that boundary: in `src/`, `curve._mul` is
 called only inside `curve.mul_add` and in `curve.scalar_mul`'s toy-curve
