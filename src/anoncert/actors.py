@@ -10,15 +10,18 @@ Each state holds the one private key its actor uses and the public keys
 it trusts; the EE's own public key I is the one on its preexisting
 certificate.
 
-State hygiene rules enforced here: the RA holds r_RA only while the
-matching response is pending, then erases it; the CA never stores the
-original public key, r_RA, or any private expansion scalar; the EE wipes
-its blinding secrets once the anonymous certificate is finalized.
+State hygiene rules enforced here: the RA never stores r_RA; it uses it
+only to compute J = I + r_RA*G, and keeps per pending request just the
+EE id to route the response to. The CA never stores the original public
+key, r_RA, or any private expansion scalar. The EE drops r_RA and s once
+the anonymous certificate is finalized, but its `EeResult` keeps
+j = i + r_RA beside k, so r_RA stays derivable from the EE's own final
+state (the harness checks j against the r_RA the EE drew).
 
 One identity gets one credential: the RA forwards only requests whose
 preexisting certificate verifies under the identity root, at most one per
-certificate serial, and it routes (erasing r_RA) only responses the CA
-signed; the CA answers each request hash once. Every certificate check is
+certificate serial, and it routes (dropping the pending EE id) only
+responses the CA signed; the CA answers each request hash once. Every certificate check is
 one `verify_certificate` call that names the kind it accepts; every other
 signature check is one `verify_signed` call.
 """
@@ -106,18 +109,12 @@ class EeState:
 
 
 @dataclass(frozen=True)
-class PendingEntry:
-    ee_id: str
-    r_ra: Scalar
-
-
-@dataclass(frozen=True)
 class RaState:
     private: Scalar
     ca_public: Point
     identity_root: Point  # issuer key of the preexisting certificates
     eligibility: frozenset  # allowed preexisting-cert serials
-    pending: Mapping[bytes, PendingEntry] = field(default_factory=dict)
+    pending: Mapping[bytes, str] = field(default_factory=dict)  # hash -> EE id
     claimed_serials: frozenset = frozenset()  # forwarded: pending or served
 
 
@@ -182,7 +179,7 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
                  curve_id=params.curve_id, temporary_public_key=temp_public,
                  s_ct=req.s_ct, details=details)
     pending = dict(state.pending)
-    pending[req_hash] = PendingEntry(ee_id, r_ra)
+    pending[req_hash] = ee_id
     return fwd, replace(state, pending=pending,
                         claimed_serials=state.claimed_serials | {cert.serial})
 
@@ -240,12 +237,12 @@ def ra_route_response(state: RaState, resp: CertificateResponse
                       ) -> tuple[str, RaState]:
     if not verify_signed(resp, state.ca_public):
         raise BadSignature("response not signed by the CA")
-    entry = state.pending.get(resp.request_hash)
-    if entry is None:
+    ee_id = state.pending.get(resp.request_hash)
+    if ee_id is None:
         raise UnknownRequestHash("no pending request matches this response")
     pending = dict(state.pending)
     del pending[resp.request_hash]
-    return entry.ee_id, replace(state, pending=pending)
+    return ee_id, replace(state, pending=pending)
 
 
 def ee_process_response(state: EeState, resp: CertificateResponse,

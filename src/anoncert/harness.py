@@ -88,10 +88,12 @@ class RunReport:
 
 def dump_transcript(log: list, directory) -> None:
     """Write each logged message as an uppercase-hex file for offline
-    inspection, numbered in delivery order, into the existing
-    `directory`."""
+    inspection into the existing `directory`, numbered in delivery order
+    with every index as wide as the last (at least 4 digits), so the
+    names sort in that order."""
+    width = max(4, len(str(len(log) - 1)))
     for idx, (actor, direction, message) in enumerate(log):
-        name = f"{idx:04d}_{actor}_{direction}.hex"
+        name = f"{idx:0{width}d}_{actor}_{direction}.hex"
         with open(os.path.join(directory, name), "w") as fh:
             fh.write(message.hex().upper() + "\n")
 

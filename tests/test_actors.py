@@ -455,7 +455,8 @@ class TestRouting:
 
     def test_stranger_signed_response_keeps_pending(self, drng):
         # a response naming the pending hash but not signed by the CA must
-        # not erase r_RA, or the CA's genuine response finds no entry
+        # not drop the pending EE id, or the CA's genuine response finds
+        # no entry
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)

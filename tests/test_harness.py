@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+from collections.abc import Mapping
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +16,7 @@ from anoncert.curve import (
     BRAINPOOL_P256R1,
     SECP256R1,
     TOY,
+    Point,
     Scalar,
     get_curve,
     scalar_mul,
@@ -278,6 +281,81 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     assert len(calls) == 3 + per_voter * 5
 
 
+def held_bytes(obj, out):
+    """Add to `out` every bytes value reachable from `obj` through dataclass
+    fields, mapping keys and values, and set and tuple members, taking each
+    Scalar and Point as its encoding."""
+    if isinstance(obj, (Scalar, Point)):
+        out.add(obj.to_bytes())
+    elif isinstance(obj, bytes):
+        out.add(obj)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            held_bytes(getattr(obj, f.name), out)
+    elif isinstance(obj, Mapping):
+        for key, value in obj.items():
+            held_bytes(key, out)
+            held_bytes(value, out)
+    elif isinstance(obj, (set, frozenset, tuple)):
+        for member in obj:
+            held_bytes(member, out)
+
+
+@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
+def test_authority_states_hold_no_voter_secret(monkeypatch, curve_id):
+    # The byte-scan audits what each authority saw on the wire; this scans
+    # what each one kept. Every state a step returns is walked: the RA's
+    # must hold nothing of the blinding or the anonymous credential, the
+    # CA's nothing that names the voter.
+    ra_states, ca_states, requested, finalized = [], [], [], []
+
+    def spy(name, keep):
+        step = getattr(harness, name)
+
+        def wrapped(*args):
+            out = step(*args)
+            keep(out)
+            return out
+
+        monkeypatch.setattr(harness, name, wrapped)
+
+    spy("ra_process_request", lambda out: ra_states.append(out[1]))
+    spy("ra_route_response", lambda out: ra_states.append(out[1]))
+    spy("ca_process_request", lambda out: ca_states.append(out[1]))
+    spy("ee_create_request", lambda out: requested.append(out[1]))
+    spy("ee_process_response", finalized.append)
+    report = run_scenario(ScenarioConfig(curve_id, 4, 77))
+    assert report.successes == 4
+    assert len(requested) == len(finalized) == 4
+    ra_held, ca_held = set(), set()
+    for state in ra_states:
+        held_bytes(state, ra_held)
+    for state in ca_states:
+        held_bytes(state, ca_held)
+    n = get_curve(curve_id).n
+    for ee, done in zip(requested, finalized):
+        result = done.result
+        r_ca = (result.formal_private.value
+                - result.temporary_private.value) % n
+        ra_secret = {
+            "r_RA": ee.secrets.r_ra.to_bytes(),
+            "r_CA": Scalar(curve_id, r_ca).to_bytes(),
+            "k": result.formal_private.to_bytes(),
+            "K": result.anon_cert.public_key.to_bytes(),
+            "anon_serial": result.anon_cert.serial,
+        }
+        ca_secret = {
+            "i": ee.private.to_bytes(),
+            "I": ee.preexisting_cert.public_key.to_bytes(),
+            "preexisting_serial": ee.preexisting_cert.serial,
+            "r_RA": ee.secrets.r_ra.to_bytes(),
+        }
+        # the walk reaches set members: the RA keeps the serials it allows
+        assert ee.preexisting_cert.serial in ra_held
+        assert [label for label, v in ra_secret.items() if v in ra_held] == []
+        assert [label for label, v in ca_secret.items() if v in ca_held] == []
+
+
 def corrupted_brainpool_k():
     """The published vectors with the first digit of brainpool's K.x zeroed."""
     chain = PUBLISHED_VECTORS[BRAINPOOL_P256R1]
@@ -456,6 +534,13 @@ class TestTranscriptDump:
         assert len(files) == 8  # 4 messages, each logged at sender and receiver
         content = (tmp_path / files[0]).read_text().strip()
         assert content and set(content) <= set("0123456789ABCDEF")
+
+    def test_dump_names_sort_in_delivery_order(self, tmp_path):
+        # with 4 digits, 10000_... would sort before 1000_...
+        log = [("EE", "sent", bytes([idx % 256])) for idx in range(10_001)]
+        harness.dump_transcript(log, tmp_path)
+        order = [int(name.split("_")[0]) for name in sorted(os.listdir(tmp_path))]
+        assert order == list(range(10_001))
 
     @pytest.mark.parametrize("curve_id, want", [
         (SECP256R1,
