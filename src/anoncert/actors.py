@@ -34,11 +34,11 @@ from typing import Mapping, Optional
 from .curve import (
     Point,
     Scalar,
+    check_key_pair,
     expand_private,
     expand_public,
     get_curve,
     random_blinding,
-    scalar_mul,
 )
 from .certs import (
     Ballot,
@@ -264,8 +264,11 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     r_ca = Scalar.from_bytes(r_ca_bytes, params.curve_id)
     temp_private = expand_private(state.private, state.secrets.r_ra)
     formal_private = expand_private(temp_private, r_ca)
-    if scalar_mul(formal_private) != anon_cert.public_key:
-        raise KeyMismatch("formal private key does not match certificate key")
+    try:
+        check_key_pair(formal_private, anon_cert.public_key)
+    except ValueError:
+        raise KeyMismatch(
+            "formal private key does not match certificate key") from None
     if not verify_certificate(anon_cert, ca_public, now, KIND_ANONYMOUS):
         raise BadCertificate("anonymous certificate does not verify")
     result = EeResult(anon_cert, temp_private, formal_private)

@@ -13,14 +13,18 @@ once and cached on the key object, never in a module-level table, so it
 lives and dies with that object.
 
 `scalar_mul(k)` computes k*G and nothing else: key generation, key
-expansion, the end entity's k*G == K check and the u1*G of `mul_add`.
-On the named curves, those with a `CurveParams.openssl_curve`, it runs
-in OpenSSL through `cryptography`, as do ECDH, signing and, where
-`CurveParams.openssl_verify` is set (brainpoolP256r1), the whole ECDSA
-verification in `envelope`. Each `Scalar` keeps the OpenSSL private key
-it derives (`Scalar.openssl_key`) for as long as the `Scalar` lives, so
-a long-lived authority key is derived once, and dropping the `Scalar`
-drops the OpenSSL key with it.
+expansion and the u1*G of `mul_add`. On the named curves, those with a
+`CurveParams.openssl_curve`, it runs in OpenSSL through `cryptography`,
+as do ECDH, signing and, where `CurveParams.openssl_verify` is set
+(brainpoolP256r1), the whole ECDSA verification in `envelope`. Each
+`Scalar` keeps the OpenSSL private key it derives (`Scalar.openssl_key`)
+and each `Point` the public key it loads (`Point.openssl_key`) for as
+long as the object lives, so a long-lived authority key is set up once.
+`Point.openssl_key` is the one way a point enters OpenSSL, and it
+refuses the identity and any point `is_on_curve` refuses: OpenSSL alone
+would reduce a coordinate >= p. `check_key_pair(k, K)`, the end entity's
+K == k*G check, builds k's key from the pair with one k*G and keeps it
+on k.
 
 Every other multiply is `_mul`, a Lim-Lee comb: `scalar_mul` on the toy
 curve and, on a named curve, only `mul_add`, the one way into the comb
@@ -104,6 +108,20 @@ class Point:
         second `_mul` and kept for the object's lifetime; equal points
         built separately have separate tables."""
         return _build_comb(self, COMB_TEETH)
+
+    @cached_property
+    def openssl_key(self) -> ec.EllipticCurvePublicKey:
+        """OpenSSL public key of this point on its named curve, loaded on
+        first use and kept for the object's lifetime. Raises `UnknownCurve`
+        on the toy curve and `ValueError`, keeping nothing, for the identity
+        or a point `is_on_curve` refuses: OpenSSL would reduce x + p to x."""
+        params = get_curve(self.curve_id)
+        if params.openssl_curve is None:
+            raise UnknownCurve(f"no OpenSSL backend for curve {self.curve_id!r}")
+        if self.is_infinity or not is_on_curve(self):
+            raise ValueError(f"not a public key of {self.curve_id}")
+        return ec.EllipticCurvePublicNumbers(
+            self.x, self.y, params.openssl_curve).public_key()
 
 
 @dataclass(frozen=True)
@@ -320,6 +338,20 @@ def scalar_mul(k: Scalar) -> Point:
         return Point.infinity(params.curve_id)
     public = k.openssl_key.public_key().public_numbers()
     return Point(params.curve_id, public.x, public.y)
+
+
+def check_key_pair(k: Scalar, K: Point) -> ec.EllipticCurvePrivateKey:
+    """k's OpenSSL private key, built from k and its public key K and kept
+    on k as its `openssl_key`. OpenSSL checks K == k*G with one k*G, where
+    deriving the key and comparing `scalar_mul(k)` with K takes two.
+    Raises `ValueError` when K is not k*G on k's curve or is a point that
+    `Point.openssl_key` refuses."""
+    if K.curve_id != k.curve_id:
+        raise ValueError(f"{K.curve_id} key for a {k.curve_id} scalar")
+    key = ec.EllipticCurvePrivateNumbers(
+        k.value, K.openssl_key.public_numbers()).private_key()
+    vars(k)["openssl_key"] = key
+    return key
 
 
 def _affine(jac: list, p: int) -> list:

@@ -16,13 +16,15 @@ signing. ECDH and signing use the private `Scalar`'s cached OpenSSL key
 (`Scalar.openssl_key`), which fixes their curve and refuses the toy
 curve, so an authority key is derived once however many requests it
 serves, and an ephemeral ECIES key once for its k*G and its ECDH; the
-OpenSSL key is dropped with its `Scalar`. Verification is a predicate
-that never raises: a key off its tagged curve, or a signature tagged
-with another curve, verifies nothing. It checks the curve tags, the key
-(finite, with coordinates in [0, p) on its curve: OpenSSL would reduce
-a coordinate >= p) and the range of r and s in Python. On a curve with
-`CurveParams.openssl_verify` (brainpoolP256r1) OpenSSL then makes the
-whole check with the public key loaded per call, which builds no table.
+OpenSSL key is dropped with its `Scalar`. A public key reaches OpenSSL
+only as its `Point`'s cached `Point.openssl_key`, which refuses the
+identity and a point off its curve or with a coordinate >= p, so ECIES
+checks no peer point itself. Verification is a predicate that never
+raises: a key off its tagged curve, or a signature tagged with another
+curve, verifies nothing. It checks the curve tags, the key (finite, on
+its curve, coordinates in [0, p)) and the range of r and s in Python.
+On a curve with `CurveParams.openssl_verify` (brainpoolP256r1) OpenSSL
+then makes the whole check with `Point.openssl_key`, building no table.
 On secp256r1 it computes u1*G + u2*Q, whose scalars are public, with
 `curve.mul_add`, the only way into the variable-time Python comb of
 `curve` on a named curve: u1*G in OpenSSL and u2*Q in the comb. A
@@ -96,14 +98,13 @@ def digest(message: bytes) -> bytes:
 def _ecdh_key(private: Scalar, peer: Point,
               invalid_peer: type[AnoncertError]) -> bytes:
     """HKDF of the x coordinate of private*peer, computed by OpenSSL with
-    the scalar's cached key on that key's curve. A peer point OpenSSL
-    refuses raises `invalid_peer`."""
-    if private.value % curve_of(private).n == 0 or peer.is_infinity:
+    the two keys' cached OpenSSL keys on their one curve. A peer that
+    `Point.openssl_key` refuses raises `invalid_peer`."""
+    if private.value % curve_of(private, peer).n == 0:
         raise InvalidEphemeralKey("ECDH produced the identity")
     key = private.openssl_key
     try:
-        peer_key = ec.EllipticCurvePublicNumbers(peer.x, peer.y,
-                                                 key.curve).public_key()
+        peer_key = peer.openssl_key
     except ValueError:
         raise invalid_peer(
             f"peer key is not a point of {private.curve_id}") from None
@@ -116,8 +117,6 @@ def ecies_encrypt(recipient_public: Point, plaintext: bytes,
                   rng: RandomSource) -> bytes:
     """Encrypt to `recipient_public` under an ephemeral key on its curve:
     the ephemeral point, then AES-GCM's output."""
-    if recipient_public.is_infinity or not is_on_curve(recipient_public):
-        raise InvalidRecipientKey("recipient key off-curve or identity")
     eph = generate_keypair(curve_of(recipient_public), rng)
     key = _ecdh_key(eph.private, recipient_public, InvalidRecipientKey)
     return (eph.public.to_bytes()
@@ -130,8 +129,6 @@ def ecies_decrypt(recipient_private: Scalar, ct: bytes) -> bytes:
     if len(ct) < 64 + TAG_LEN:
         raise MalformedEncoding("ECIES ciphertext too short")
     eph = Point.from_bytes(ct[:64], recipient_private.curve_id)
-    if eph.is_infinity or not is_on_curve(eph):
-        raise InvalidEphemeralKey("ephemeral key off-curve or identity")
     key = _ecdh_key(recipient_private, eph, InvalidEphemeralKey)
     try:
         return AESGCM(key).decrypt(_ZERO_NONCE, ct[64:], None)
@@ -183,15 +180,10 @@ def verify(signer_public: Point, message: bytes, sig: Signature) -> bool:
         return False
     if params.openssl_verify:
         try:
-            key = ec.EllipticCurvePublicNumbers(
-                signer_public.x, signer_public.y,
-                params.openssl_curve).public_key()
-        except ValueError:
-            return False
-        try:
-            key.verify(encode_dss_signature(sig.r.value, sig.s.value),
-                       message, ec.ECDSA(hashes.SHA256()))
-        except InvalidSignature:
+            signer_public.openssl_key.verify(
+                encode_dss_signature(sig.r.value, sig.s.value),
+                message, ec.ECDSA(hashes.SHA256()))
+        except (ValueError, InvalidSignature):
             return False
         return True
     # both named curves have a 256-bit n, so ECDSA's truncation of the

@@ -36,7 +36,7 @@ from anoncert.certs import (
     signed,
     tbs_bytes,
 )
-from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Scalar, get_curve, generate_keypair, scalar_mul
+from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Point, Scalar, get_curve, generate_keypair, scalar_mul
 from anoncert.envelope import ecies_encrypt, sign, sym_encrypt
 from anoncert.errors import (
     AlreadyServed,
@@ -509,6 +509,34 @@ class TestEeFinalization:
 
         monkeypatch.setattr(actors, "expand_private", skewed)
         setup = Setup()
+        with pytest.raises(KeyMismatch):
+            setup.run_flow()
+
+    @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
+    @pytest.mark.parametrize("case", ["other", "off_curve", "x+p", "identity",
+                                      "other_curve"])
+    def test_certificate_key_not_k_g_is_key_mismatch(self, monkeypatch,
+                                                     curve_id, case):
+        # the EE builds k's key from (k, K): OpenSSL's pair check refuses
+        # a K that is not k*G, and `Point.openssl_key` one that is no
+        # public key, such as (x + p, y), which OpenSSL alone would take
+        # for (x, y) on brainpoolP256r1
+        params = get_curve(curve_id)
+        other = ({BRAINPOOL_P256R1, SECP256R1} - {curve_id}).pop()
+        unpack = actors.unpack
+
+        def swap_key(fields, data):
+            cert, r_ca = unpack(fields, data)
+            K = cert.public_key
+            K = {"other": params.g,
+                 "off_curve": Point(curve_id, K.x, (K.y + 1) % params.p),
+                 "x+p": Point(curve_id, K.x + params.p, K.y),
+                 "identity": Point.infinity(curve_id),
+                 "other_curve": Point(other, K.x, K.y)}[case]
+            return dataclasses.replace(cert, public_key=K), r_ca
+
+        monkeypatch.setattr(actors, "unpack", swap_key)
+        setup = Setup(curve_id)
         with pytest.raises(KeyMismatch):
             setup.run_flow()
 

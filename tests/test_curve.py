@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from anoncert.curve import (
     SECP256R1,
     Scalar,
     TOY,
+    check_key_pair,
     expand_private,
     expand_public,
     generate_keypair,
@@ -141,6 +143,83 @@ class TestNativeFixedBase:
                 Scalar(BRAINPOOL_P256R1, value).openssl_key
         wrapped = Scalar(BRAINPOOL_P256R1, brainpool.n + 5).openssl_key
         assert wrapped.private_numbers().private_value == 5
+
+
+class TestPointOpensslKey:
+    def test_loaded_once_per_object(self, monkeypatch, named_curve):
+        # a reused key loads once; an equal Point built separately loads
+        # its own
+        load = ec.EllipticCurvePublicNumbers.public_key
+        loads = []
+
+        def spy(numbers, *args):
+            loads.append((numbers.x, numbers.y))
+            return load(numbers, *args)
+
+        monkeypatch.setattr(ec.EllipticCurvePublicNumbers, "public_key", spy)
+        P = Point(named_curve.curve_id, named_curve.gx, named_curve.gy)
+        key = P.openssl_key
+        assert P.openssl_key is key
+        assert loads == [(P.x, P.y)]
+        twin = Point(named_curve.curve_id, P.x, P.y)
+        assert twin.openssl_key is not key
+        assert twin.openssl_key.public_numbers() == key.public_numbers()
+        assert loads == [(P.x, P.y)] * 2
+        assert key.curve.name == named_curve.openssl_curve.name
+
+    def test_refused_point_raises_on_every_access(self, named_curve):
+        # the identity, an off-curve point and a coordinate >= p are no
+        # public key: each access raises again and nothing is kept
+        p, curve_id = named_curve.p, named_curve.curve_id
+        G = named_curve.g
+        for P in (Point.infinity(curve_id), Point(curve_id, G.x, G.y + 1),
+                  Point(curve_id, G.x + p, G.y), Point(curve_id, G.x, G.y + p)):
+            for _ in range(2):
+                with pytest.raises(ValueError) as info:
+                    P.openssl_key
+                assert not isinstance(info.value, UnknownCurve)
+            assert "openssl_key" not in vars(P)
+
+    def test_toy_curve_has_none(self, toy):
+        with pytest.raises(UnknownCurve):
+            toy.g.openssl_key
+
+    def test_unreduced_key_openssl_alone_accepts_is_refused(self, brainpool):
+        # OpenSSL loads (x + p, y) as (x, y) without a word
+        p = brainpool.p
+        P = next(P for P in (scalar_mul(Scalar(BRAINPOOL_P256R1, k))
+                             for k in range(1, 50)) if P.x + p < 2 ** 256)
+        alone = ec.EllipticCurvePublicNumbers(P.x + p, P.y,
+                                              brainpool.openssl_curve)
+        assert alone.public_key().public_numbers().x == P.x
+        with pytest.raises(ValueError):
+            Point(BRAINPOOL_P256R1, P.x + p, P.y).openssl_key
+
+
+class TestCheckKeyPair:
+    def test_keeps_the_key_on_k(self, monkeypatch, named_curve):
+        # k's key comes from (k, K), and no derivation computes k*G again
+        k = Scalar(named_curve.curve_id, 12345)
+        K = scalar_mul(Scalar(named_curve.curve_id, 12345))
+
+        def derive(*args):
+            raise AssertionError("k*G derived again")
+
+        monkeypatch.setattr(ec, "derive_private_key", derive)
+        key = check_key_pair(k, K)
+        assert k.openssl_key is key
+        assert key.private_numbers().private_value == 12345
+
+    def test_mismatch_keeps_nothing(self, named_curve):
+        # k*G of the other named curve is refused by its tag alone
+        curve_id = named_curve.curve_id
+        k = Scalar(curve_id, 12345)
+        other = ({BRAINPOOL_P256R1, SECP256R1} - {curve_id}).pop()
+        for wrong in (named_curve.g, scalar_mul(Scalar(other, 12345)),
+                      Point.infinity(curve_id)):
+            with pytest.raises(ValueError):
+                check_key_pair(k, wrong)
+        assert "openssl_key" not in vars(k)
 
 
 class TestVariableBase:
@@ -271,7 +350,7 @@ class TestVariableBase:
         assert len(kept()) == 2 and kept()[1] is twin
 
     def test_cached_state_is_not_a_field(self, brainpool):
-        # the first-use mark, the comb table and the OpenSSL key stay out
+        # the first-use mark, the comb table and the OpenSSL keys stay out
         # of eq, hash, replace and asdict
         k = Scalar(BRAINPOOL_P256R1, 7)
         P = scalar_mul(k)
@@ -279,10 +358,11 @@ class TestVariableBase:
         _mul(3, once_P)
         _mul(3, P)
         _mul(3, P)
+        P.openssl_key
         fresh_k = Scalar(BRAINPOOL_P256R1, 7)
         fresh_P = Point(BRAINPOOL_P256R1, P.x, P.y)
         assert "openssl_key" in vars(k)
-        assert {"multiplied_once", "comb_table"} <= set(vars(P))
+        assert {"multiplied_once", "comb_table", "openssl_key"} <= set(vars(P))
         assert "multiplied_once" in vars(once_P)
         assert "comb_table" not in vars(once_P)
         assert (k, hash(k)) == (fresh_k, hash(fresh_k))

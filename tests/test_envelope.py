@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anoncert import envelope
+from anoncert import curve, envelope
 from anoncert.curve import (
     BRAINPOOL_P256R1,
     SECP256R1,
@@ -54,6 +54,15 @@ def _flip_bit(data: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
+def _unusable(P: Point, case: str) -> Point:
+    """P made into a point no public key may be, as `case` names: the
+    identity, off its curve, or with x unreduced (x + p)."""
+    p = get_curve(P.curve_id).p
+    return {"identity": Point.infinity(P.curve_id),
+            "off_curve": Point(P.curve_id, P.x, (P.y + 1) % p),
+            "x+p": Point(P.curve_id, P.x + p, P.y)}[case]
+
+
 class TestEcies:
     def test_round_trip(self, named_curve, drng):
         pair = generate_keypair(named_curve, drng)
@@ -88,10 +97,27 @@ class TestEcies:
         with pytest.raises(AuthenticationFailure):
             ecies_decrypt(alice.private, ct_bob)
 
-    def test_identity_recipient_rejected(self, brainpool, drng):
-        from anoncert.curve import Point
+    @pytest.mark.parametrize("case", ["identity", "off_curve", "x+p"])
+    def test_unusable_recipient_rejected(self, named_curve, drng, case):
+        recipient = _unusable(generate_keypair(named_curve, drng).public, case)
         with pytest.raises(InvalidRecipientKey):
-            ecies_encrypt(Point.infinity(brainpool.curve_id), b"x", drng)
+            ecies_encrypt(recipient, b"x", drng)
+
+    def test_toy_curve_has_no_ecies(self, toy, drng):
+        # `UnknownCurve` is a ValueError, yet the toy curve's must not
+        # read as a bad recipient key
+        with pytest.raises(UnknownCurve):
+            ecies_encrypt(toy.g, b"x", drng)
+
+    @pytest.mark.parametrize("case", ["identity", "off_curve"])
+    def test_unusable_ephemeral_rejected(self, named_curve, drng, case):
+        # the unreduced case needs x + p to fit the wire's 32 bytes, so it
+        # runs on brainpoolP256r1 alone (test_unreduced_ephemeral_rejected)
+        pair = generate_keypair(named_curve, drng)
+        ct = ecies_encrypt(pair.public, b"x", drng)
+        eph = _unusable(Point.from_bytes(ct[:64], named_curve.curve_id), case)
+        with pytest.raises(InvalidEphemeralKey):
+            ecies_decrypt(pair.private, eph.to_bytes() + ct[64:])
 
     def test_wire_round_trip(self, brainpool, drng):
         # the layout: the ephemeral point x||y, then AES-GCM's output under
@@ -406,9 +432,11 @@ class TestVerifyOracle:
         assert verify(key, message, sig) is _python_verdict(key, message, sig)
 
     def test_key_openssl_refuses_is_false(self, monkeypatch, brainpool):
-        # with the on-curve precheck bypassed, an off-curve key reaches
-        # OpenSSL's key load, whose ValueError verify turns into False
-        monkeypatch.setattr(envelope, "is_on_curve", lambda P: True)
+        # with verify's on-curve precheck and `Point.openssl_key`'s own
+        # bypassed, an off-curve key reaches OpenSSL's key load, whose
+        # ValueError verify turns into False
+        for module in (envelope, curve):
+            monkeypatch.setattr(module, "is_on_curve", lambda P: True)
         pair = _signer(BRAINPOOL_P256R1, 0)
         sig = sign(pair.private, b"m")
         off = Point(BRAINPOOL_P256R1, pair.public.x, pair.public.y + 1)

@@ -261,8 +261,9 @@ def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     # The CA, RA and identity-root keys are derived once per run. Each
-    # voter then costs 6: 2 expansion r*G, its own key, 2 ECIES ephemeral
-    # keys (each ECDH reuses its k*G derivation) and the k*G == K check.
+    # voter then costs 5: 2 expansion r*G, its own key and 2 ECIES
+    # ephemeral keys (each ECDH reuses its k*G derivation). The EE builds
+    # k's key from (k, K) (`check_key_pair`), which derives nothing.
     # On secp256r1 the u1*G of its 8 verifications adds 8 more; on
     # brainpoolP256r1 OpenSSL's verify derives no private key. Every
     # signature and decryption reuses a key derived earlier (123 when
@@ -277,8 +278,32 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     monkeypatch.setattr(ec, "derive_private_key", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    per_voter = 6 if curve_id == BRAINPOOL_P256R1 else 6 + 8
+    per_voter = 5 if curve_id == BRAINPOOL_P256R1 else 5 + 8
     assert len(calls) == 3 + per_voter * 5
+
+
+@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
+def test_openssl_public_key_loaded_once_per_point(monkeypatch, curve_id):
+    # `Point.openssl_key` loads each authority key once per run: the CA's
+    # and the RA's, and on brainpoolP256r1, whose verify runs in OpenSSL,
+    # the identity root's (60 loads on brainpoolP256r1 and 20 on
+    # secp256r1 when each use loaded its own). Each voter then loads its
+    # 2 ECIES ephemeral points, once per decryption, and its K, which
+    # `check_key_pair` loads and the ballot's verification reuses; on
+    # brainpoolP256r1 also the I of the request the RA verifies.
+    load = ec.EllipticCurvePublicNumbers.public_key
+    calls = []
+
+    def spy(numbers, *args):
+        calls.append(numbers)
+        return load(numbers, *args)
+
+    monkeypatch.setattr(ec.EllipticCurvePublicNumbers, "public_key", spy)
+    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
+    assert report.successes == 5
+    per_voter = 4 if curve_id == BRAINPOOL_P256R1 else 3
+    authorities = 3 if curve_id == BRAINPOOL_P256R1 else 2
+    assert len(calls) == authorities + per_voter * 5
 
 
 def held_bytes(obj, out):

@@ -21,6 +21,11 @@ ECDSA verification's public scalars reach it.
 A fifth keeps the comb behind that boundary: in `src/`, `curve._mul` is
 called only inside `curve.mul_add` and in `curve.scalar_mul`'s toy-curve
 branch, so on a named curve no other multiply reaches the comb.
+
+A sixth keeps the public-key boundary: in `src/`, only `Point.openssl_key`
+builds an OpenSSL public key, so every point OpenSSL is handed has passed
+its identity and `is_on_curve` checks (OpenSSL alone would reduce a
+coordinate >= p) and is loaded once per `Point` object.
 """
 
 import ast
@@ -274,3 +279,50 @@ def test_a_comb_walk_is_found():
         "    return _mul(2, P)\n")
     assert _comb_walks(tree) == {
         "import _mul", "blind if r.value", "blind if not (r.value)", "widen"}
+
+
+PUBLIC_NUMBERS = "EllipticCurvePublicNumbers"
+
+
+def _public_key_loads(tree: ast.AST) -> set:
+    """Each way `tree` reaches `EllipticCurvePublicNumbers`: `import` of
+    the name, or a read of it bare or as `module.EllipticCurvePublicNumbers`,
+    named by the classes and functions around it, outermost first."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.ImportFrom):
+            found.update(f"import {alias.name}" for alias in node.names
+                         if alias.name == PUBLIC_NUMBERS)
+        elif ((isinstance(node, ast.Name) and node.id == PUBLIC_NUMBERS)
+              or (isinstance(node, ast.Attribute)
+                  and node.attr == PUBLIC_NUMBERS)):
+            found.add(".".join(scope))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_point_openssl_key_loads_a_public_key():
+    uses = {path.name: _public_key_loads(ast.parse(path.read_text()))
+            for path in PACKAGE.glob("*.py")}
+    assert {name: used for name, used in uses.items() if used} == {
+        "curve.py": {"Point.openssl_key"}}
+
+
+def test_a_public_key_load_is_found():
+    # a synthetic envelope.py that loads its ECDH peer by hand
+    tree = ast.parse(
+        "from cryptography.hazmat.primitives.asymmetric import ec\n"
+        "from cryptography.hazmat.primitives.asymmetric.ec import (\n"
+        "    EllipticCurvePublicNumbers as Numbers)\n"
+        "def _ecdh_key(private, peer, invalid_peer):\n"
+        "    key = private.openssl_key\n"
+        "    return key.exchange(ec.ECDH(), ec.EllipticCurvePublicNumbers(\n"
+        "        peer.x, peer.y, key.curve).public_key())\n")
+    assert _public_key_loads(tree) == {
+        "import EllipticCurvePublicNumbers", "_ecdh_key"}
