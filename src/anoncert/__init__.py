@@ -11,4 +11,4 @@ Each name is imported from the module that defines it, for example
 `from anoncert.harness import run_scenario`.
 """
 
-from . import curve, harness, oracle, vectors
+from . import curve, harness

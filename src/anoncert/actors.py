@@ -24,6 +24,12 @@ certificate serial, and it routes (dropping the pending EE id) only
 responses the CA signed; the CA answers each request hash once. Every certificate check is
 one `verify_certificate` call that names the kind it accepts; every other
 signature check is one `verify_signed` call.
+
+Each trust decision is made by one check. The EE does not check the
+response's signature: what it accepts is decided by `z_ct` opening under
+s with the request hash as AAD, by the certificate inside verifying under
+the CA key, and by `check_key_pair` binding k to K. The RA leaves r_RA's
+range to `expand_public` (`BlindingOutOfRange`).
 """
 
 from __future__ import annotations
@@ -168,10 +174,9 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
     if len(plaintext) != 32:
         raise EnvelopeFailure("r_RA plaintext is not a 32-byte scalar")
     r_ra = Scalar.from_bytes(plaintext, params.curve_id)
-    if not (1 <= r_ra.value <= params.n - 1):
-        raise EnvelopeFailure("decrypted r_RA outside [1, n-1]")
-    # DegenerateResult propagates: r_RA is EE-chosen, so the RA cannot
-    # resample; the EE must retry with a fresh blinding value.
+    # BlindingOutOfRange (r_RA not in [1, n-1]) and DegenerateResult
+    # propagate: r_RA is EE-chosen, so the RA cannot resample; the EE must
+    # retry with a fresh blinding value.
     temp_public = expand_public(cert.public_key, r_ra)
     details = sanitize_details(req.details)
     details[REQUEST_HASH_KEY] = req_hash.hex().upper()
@@ -250,8 +255,6 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
     params = get_curve(state.private.curve_id)
-    if not verify_signed(resp, ca_public):
-        raise BadSignature("response not signed by the CA")
     try:
         payload = sym_decrypt(state.secrets.aes_key, resp.z_ct,
                               resp.request_hash)

@@ -19,8 +19,8 @@ ciphertext refuses one too short to hold its parts.
 
 A certificate's curve is its issuer key's: `issue_certificate` refuses a
 subject key tagged with another curve. `verify_certificate` refuses a
-certificate whose `curve_id` is not its issuer key's curve, or whose kind
-is not the one its caller names.
+certificate whose kind is not the one its caller names, and its signature
+one whose `curve_id` is not its issuer key's curve.
 """
 
 from __future__ import annotations
@@ -310,9 +310,10 @@ def issue_certificate(issuer_private: Scalar, issuer_name: str, subject: str,
 
 def verify_certificate(cert: Certificate, issuer_public: Point, now: int,
                        kind: str) -> bool:
-    """Whether `cert` is a current `kind` certificate of `issuer_public`."""
-    return (cert.kind == kind and cert.curve_id == issuer_public.curve_id
-            and cert.not_before <= now <= cert.not_after
+    """Whether `cert` is a current `kind` certificate of `issuer_public`.
+    The signature decides the curve: it covers `curve_id`, and `verify`
+    refuses a signature tagged with another curve than the issuer key's."""
+    return (cert.kind == kind and cert.not_before <= now <= cert.not_after
             and verify_signed(cert, issuer_public))
 
 

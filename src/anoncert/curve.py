@@ -437,9 +437,9 @@ def generate_keypair(params: CurveParams, rng: RandomSource) -> KeyPair:
 
 
 def expand_public(P: Point, r: Scalar) -> Point:
-    """Additive public-key blinding: P -> P + r*G."""
+    """Additive public-key blinding: P -> P + r*G. `point_add` refuses a
+    P off its curve."""
     params = curve_of(P, r)
-    _require_on_curve(P)
     if P.is_infinity:
         raise NotOnCurve("cannot expand the identity")
     if not (1 <= r.value <= params.n - 1):

@@ -18,13 +18,13 @@ curve, so an authority key is derived once however many requests it
 serves, and an ephemeral ECIES key once for its k*G and its ECDH; the
 OpenSSL key is dropped with its `Scalar`. A public key reaches OpenSSL
 only as its `Point`'s cached `Point.openssl_key`, which refuses the
-identity and a point off its curve or with a coordinate >= p, so ECIES
-checks no peer point itself. Verification is a predicate that never
-raises: a key off its tagged curve, or a signature tagged with another
-curve, verifies nothing. It checks the curve tags, the key (finite, on
-its curve, coordinates in [0, p)) and the range of r and s in Python.
-On a curve with `CurveParams.openssl_verify` (brainpoolP256r1) OpenSSL
-then makes the whole check with `Point.openssl_key`, building no table.
+identity and a point off its curve or with a coordinate >= p, so neither
+ECIES nor verification checks a key itself. Verification is a predicate
+that never raises: a key off its tagged named curve, or a signature
+tagged with another curve, verifies nothing. It checks the curve tags
+and the range of r and s in Python and loads the key. On a curve with
+`CurveParams.openssl_verify` (brainpoolP256r1) OpenSSL then makes the
+whole check with that key, building no table.
 On secp256r1 it computes u1*G + u2*Q, whose scalars are public, with
 `curve.mul_add`, the only way into the variable-time Python comb of
 `curve` on a named curve: u1*G in OpenSSL and u2*Q in the comb. A
@@ -48,14 +48,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .curve import (
-    Point,
-    Scalar,
-    curve_of,
-    generate_keypair,
-    is_on_curve,
-    mul_add,
-)
+from .curve import Point, Scalar, curve_of, generate_keypair, mul_add
 from .errors import (
     AnoncertError,
     AuthenticationFailure,
@@ -64,7 +57,6 @@ from .errors import (
     InvalidKey,
     InvalidRecipientKey,
     MalformedEncoding,
-    UnknownCurve,
 )
 from .rng import RandomSource
 
@@ -98,10 +90,9 @@ def digest(message: bytes) -> bytes:
 def _ecdh_key(private: Scalar, peer: Point,
               invalid_peer: type[AnoncertError]) -> bytes:
     """HKDF of the x coordinate of private*peer, computed by OpenSSL with
-    the two keys' cached OpenSSL keys on their one curve. A peer that
+    the two keys' cached OpenSSL keys on their one curve. A private value
+    of 0 mod n raises `InvalidKey` (`Scalar.openssl_key`), and a peer that
     `Point.openssl_key` refuses raises `invalid_peer`."""
-    if private.value % curve_of(private, peer).n == 0:
-        raise InvalidEphemeralKey("ECDH produced the identity")
     key = private.openssl_key
     try:
         peer_key = peer.openssl_key
@@ -168,22 +159,21 @@ def sign(signer_private: Scalar, message: bytes) -> Signature:
 def verify(signer_public: Point, message: bytes, sig: Signature) -> bool:
     """Whether `sig` is a signature of `message` under `signer_public` on
     its curve. False, never an error, for a key that is not a point of
-    its tagged curve or a signature tagged with another curve."""
+    its tagged named curve or a signature tagged with another curve."""
     try:
         params = curve_of(signer_public, sig.r, sig.s)
-    except (CurveMismatch, UnknownCurve):
+        # refuses the identity, a point off its curve and the toy curve
+        key = signer_public.openssl_key
+    except (CurveMismatch, ValueError):  # UnknownCurve is a ValueError
         return False
     n = params.n
-    if signer_public.is_infinity or not is_on_curve(signer_public):
-        return False
     if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
         return False
     if params.openssl_verify:
         try:
-            signer_public.openssl_key.verify(
-                encode_dss_signature(sig.r.value, sig.s.value),
-                message, ec.ECDSA(hashes.SHA256()))
-        except (ValueError, InvalidSignature):
+            key.verify(encode_dss_signature(sig.r.value, sig.s.value),
+                       message, ec.ECDSA(hashes.SHA256()))
+        except InvalidSignature:
             return False
         return True
     # both named curves have a 256-bit n, so ECDSA's truncation of the

@@ -36,13 +36,23 @@ from anoncert.certs import (
     signed,
     tbs_bytes,
 )
-from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, Point, Scalar, get_curve, generate_keypair, scalar_mul
+from anoncert.curve import (
+    BRAINPOOL_P256R1,
+    SECP256R1,
+    Point,
+    Scalar,
+    generate_keypair,
+    get_curve,
+    point_add,
+    scalar_mul,
+)
 from anoncert.envelope import ecies_encrypt, sign, sym_encrypt
 from anoncert.errors import (
     AlreadyServed,
     AnoncertError,
     BadCertificate,
     BadSignature,
+    BlindingOutOfRange,
     DegenerateResult,
     DuplicateRequest,
     EnvelopeFailure,
@@ -250,15 +260,18 @@ class TestRaProcessing:
         with pytest.raises(DegenerateResult):
             ra_process_request(setup.ra, req, "voter-0", NOW)
 
-    @pytest.mark.parametrize("recipient, plaintext, message", [
-        ("ca", lambda n: (1).to_bytes(32, "big"), "could not open"),
-        ("ra", lambda n: b"\x01" * 31, "32-byte"),
-        ("ra", lambda n: bytes(32), "outside"),
-        ("ra", lambda n: n.to_bytes(32, "big"), "outside"),
+    @pytest.mark.parametrize("recipient, plaintext, error, message", [
+        ("ca", lambda n: (1).to_bytes(32, "big"), EnvelopeFailure,
+         "could not open"),
+        ("ra", lambda n: b"\x01" * 31, EnvelopeFailure, "32-byte"),
+        ("ra", lambda n: bytes(32), BlindingOutOfRange, "outside"),
+        ("ra", lambda n: n.to_bytes(32, "big"), BlindingOutOfRange,
+         "outside"),
     ], ids=["sealed-to-ca", "31-bytes", "zero", "n"])
-    def test_unusable_r_ra_envelope(self, drng, recipient, plaintext,
+    def test_unusable_r_ra_envelope(self, drng, recipient, plaintext, error,
                                     message):
-        # an EE-signed request whose r_RA envelope gives the RA no r_RA
+        # an EE-signed request whose r_RA envelope gives the RA no usable
+        # r_RA; `expand_public` refuses one outside [1, n-1]
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
@@ -268,8 +281,23 @@ class TestRaProcessing:
         forged = signed(CertificateRequest, setup.ee.private,
                         preexisting_cert=req.preexisting_cert,
                         r_ra_ct=r_ra_ct, s_ct=req.s_ct, details=req.details)
-        with pytest.raises(EnvelopeFailure, match=message):
+        with pytest.raises(error, match=message):
             ra_process_request(setup.ra, forged, "voter-0", NOW)
+
+    @pytest.mark.parametrize("r_ra", ["1", "n-1"])
+    def test_blinding_at_its_bounds_accepted(self, scripted_rng, r_ra):
+        # r_RA = 1 and r_RA = n - 1 are the ends of [1, n-1]: J = I + G and
+        # J = I - G
+        setup = Setup()
+        params, I = setup.params, setup.ee.preexisting_cert.public_key
+        minus_g = Point(params.curve_id, params.gx, params.p - params.gy)
+        value, offset = {"1": (1, params.g),
+                         "n-1": (params.n - 1, minus_g)}[r_ra]
+        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
+                                   setup.ca_keys.public, {},
+                                   scripted_rng([value.to_bytes(32, "big")]))
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        assert fwd.temporary_public_key == point_add(I, offset)
 
     def test_unknown_curve_is_typed(self, drng):
         setup = Setup()
@@ -485,18 +513,31 @@ class TestEeFinalization:
             ee_process_response(setup.ee, resp, setup.ca_keys.public, NOW)
 
     def test_stranger_signed_response_keeps_secrets(self, drng):
-        # the EE refuses a response the CA did not sign and can still
-        # finalize with the CA's own
+        # the EE does not check the response's signature: a stranger's
+        # signature over the CA's own z_ct finalizes with the CA's
+        # certificate, and a stranger's z_ct, which does not open under s,
+        # is refused and leaves the EE able to finalize with the CA's own
         setup = Setup()
         req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
                                     setup.ca_keys.public, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
         stranger = generate_keypair(setup.params, drng)
-        forged = signed(CertificateResponse, stranger.private,
-                        curve_id=resp.curve_id, z_ct=resp.z_ct,
-                        request_hash=resp.request_hash)
-        with pytest.raises(BadSignature):
+        resigned = signed(CertificateResponse, stranger.private,
+                          curve_id=resp.curve_id, z_ct=resp.z_ct,
+                          request_hash=resp.request_hash)
+        done = ee_process_response(ee, resigned, setup.ca_keys.public, NOW)
+        assert done == ee_process_response(ee, resp, setup.ca_keys.public,
+                                           NOW)
+        # the stranger's own certificate on the EE's J, sealed under a key
+        # of its own with the right request hash as AAD
+        stranger_cert = issue_certificate(
+            stranger.private, "CA", "", fwd.temporary_public_key, VALIDITY,
+            KIND_ANONYMOUS, drng)
+        payload = pack(Z_PAYLOAD, (stranger_cert, bytes(31) + b"\x01"))
+        z_ct = sym_encrypt(drng.read(32), payload, resp.request_hash, drng)
+        forged = dataclasses.replace(resp, z_ct=z_ct, signature=None)
+        with pytest.raises(EnvelopeFailure):
             ee_process_response(ee, forged, setup.ca_keys.public, NOW)
         done = ee_process_response(ee, resp, setup.ca_keys.public, NOW)
         assert done.result is not None

@@ -117,11 +117,21 @@ class TestIssuance:
                                       KIND_PREEXISTING)
 
     def test_expiry(self, brainpool, issuer, drng):
+        # the window [not_before, not_after] holds both its ends
         _, cert = make_cert(brainpool, issuer, drng)
-        assert not verify_certificate(cert, issuer.public,
-                                      VALIDITY[1] + 1, KIND_PREEXISTING)
-        assert not verify_certificate(cert, issuer.public,
-                                      VALIDITY[0] - 1, KIND_PREEXISTING)
+        not_before, not_after = VALIDITY
+        for now in (not_before, not_after):
+            assert verify_certificate(cert, issuer.public, now,
+                                      KIND_PREEXISTING)
+        for now in (not_before - 1, not_after + 1):
+            assert not verify_certificate(cert, issuer.public, now,
+                                          KIND_PREEXISTING)
+
+    def test_one_second_validity(self, brainpool, issuer, drng):
+        holder = generate_keypair(brainpool, drng)
+        cert = issue_certificate(issuer.private, "CA", "s", holder.public,
+                                 (NOW, NOW), KIND_PREEXISTING, drng)
+        assert verify_certificate(cert, issuer.public, NOW, KIND_PREEXISTING)
 
     def test_wrong_issuer(self, brainpool, issuer, drng):
         _, cert = make_cert(brainpool, issuer, drng)
@@ -143,6 +153,8 @@ class TestIssuance:
 
     def test_issuer_key_of_another_curve_is_false(self, brainpool, secp,
                                                   issuer, drng):
+        # the signature decides: its tags name another curve than the
+        # issuer key's, or it does not cover the relabeled curve_id
         _, cert = make_cert(brainpool, issuer, drng)
         secp_issuer = generate_keypair(secp, drng)
         assert not verify_certificate(cert, secp_issuer.public, NOW,

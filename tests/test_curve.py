@@ -452,6 +452,12 @@ class TestExpansion:
             with pytest.raises(BlindingOutOfRange):
                 expand_private(r, i)
 
+    def test_off_curve_point_cannot_be_expanded(self, brainpool):
+        # `point_add` makes the check
+        with pytest.raises(NotOnCurve):
+            expand_public(Point(brainpool.curve_id, 1, 2),
+                          Scalar(brainpool.curve_id, R_CA))
+
     def test_identity_cannot_be_expanded(self, brainpool):
         with pytest.raises(NotOnCurve):
             expand_public(Point.infinity(brainpool.curve_id),
@@ -541,6 +547,15 @@ class TestCurveParams:
             minus_g = scalar_mul(Scalar(params.curve_id, n - 1))
             assert point_add(minus_g, g).is_infinity
             assert 2 * n > p + 1 + 2 * (math.isqrt(p) + 1)
+
+    def test_coordinate_range_ends(self, secp):
+        # (0, y) is a point of secp256r1: x = 0 is the bottom of [0, p),
+        # and x = p, which satisfies the curve equation mod p, is refused
+        p = secp.p
+        y = pow(secp.b, (p + 1) // 4, p)
+        assert y * y % p == secp.b
+        assert is_on_curve(Point(SECP256R1, 0, y))
+        assert not is_on_curve(Point(SECP256R1, p, y))
 
     def test_toy_group_order(self, toy):
         assert len(enumerate_group(toy.p, toy.a, toy.b)) == toy.n

@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anoncert import curve, envelope
+from anoncert import curve
 from anoncert.curve import (
     BRAINPOOL_P256R1,
     SECP256R1,
@@ -143,6 +143,15 @@ class TestEcies:
             with pytest.raises(MalformedEncoding):
                 ecies_decrypt(pair.private, short)
 
+    def test_zero_private_key_is_invalid_key(self, named_curve, drng):
+        # the ephemeral point is valid; the fault is the recipient key,
+        # whose value 0 mod n has no private key
+        ct = ecies_encrypt(generate_keypair(named_curve, drng).public, b"x",
+                           drng)
+        for value in (0, named_curve.n):
+            with pytest.raises(InvalidKey, match="zero"):
+                ecies_decrypt(Scalar(named_curve.curve_id, value), ct)
+
     def test_ephemeral_key_of_another_curve(self, brainpool, secp, drng):
         # a ciphertext made for a secp256r1 recipient, opened with a
         # brainpoolP256r1 key: its point is read on brainpoolP256r1
@@ -168,7 +177,7 @@ class TestEcdh:
         for k in edge_scalars(params.n, count=30):
             scalar = Scalar(params.curve_id, k)
             if k % params.n == 0:
-                with pytest.raises(InvalidEphemeralKey):
+                with pytest.raises(InvalidKey):
                     _ecdh_key(scalar, peer, InvalidRecipientKey)
                 continue
             shared = _mul(k % params.n, peer)
@@ -253,6 +262,13 @@ class TestSignatures:
         msg = b"same message twice"
         assert (sign(pair.private, msg).to_bytes()
                 == sign(pair.private, msg).to_bytes())
+
+    def test_largest_key_signs(self, named_curve):
+        # n - 1, the top of the signing key's range, whose public key is -G
+        params = named_curve
+        sig = sign(Scalar(params.curve_id, params.n - 1), b"m")
+        minus_g = Point(params.curve_id, params.gx, params.p - params.gy)
+        assert verify(minus_g, b"m", sig)
 
     def test_wrong_key_fails(self, named_curve, drng):
         pair = generate_keypair(named_curve, drng)
@@ -373,6 +389,19 @@ def _python_verdict(key: Point, message: bytes, sig: Signature) -> bool:
     return not R.is_infinity and R.x % n == sig.r.value
 
 
+def _recovered(R: Point, s: int, message: bytes):
+    """A key and a valid signature (r, s) of `message` under it, with
+    r = R.x mod n, by public-key recovery (SEC 1 v2, 4.1.6): the key is
+    Q = r^-1 (s*R - e*G), so u1*G + u2*Q = R."""
+    n = get_curve(R.curve_id).n
+    r = R.x % n
+    e = int.from_bytes(digest(message), "big") % n
+    r_inv = pow(r, -1, n)
+    key = mul_add(Scalar(R.curve_id, -e * r_inv % n),
+                  Scalar(R.curve_id, s * r_inv % n), R)
+    return key, Signature(Scalar(R.curve_id, r), Scalar(R.curve_id, s))
+
+
 VERIFY_CASES = ("valid", "flip", "r", "s", "high_s", "off_curve", "identity",
                 "other_curve", "x+p", "y+p")
 
@@ -431,12 +460,33 @@ class TestVerifyOracle:
                                          case, edge, bit)
         assert verify(key, message, sig) is _python_verdict(key, message, sig)
 
+    @pytest.mark.parametrize("curve_id, edge", [
+        (BRAINPOOL_P256R1, "s=1"), (BRAINPOOL_P256R1, "s=n-1"),
+        (SECP256R1, "s=1"), (SECP256R1, "s=n-1"), (BRAINPOOL_P256R1, "r=1")])
+    def test_recovered_edge_signature(self, curve_id, edge):
+        # valid signatures at the ends of verify's r and s ranges
+        params = get_curve(curve_id)
+        p, n = params.p, params.n
+        if edge == "r=1":
+            # (1, y) is a point of brainpoolP256r1, whose p exceeds n
+            rhs = (1 + params.a + params.b) % p
+            y = pow(rhs, (p + 1) // 4, p)
+            assert y * y % p == rhs
+            R, s = Point(curve_id, 1, y), 7
+        else:
+            R = scalar_mul(Scalar(curve_id, 0xC0FFEE))
+            s = {"s=1": 1, "s=n-1": n - 1}[edge]
+        key, sig = _recovered(R, s, b"edge")
+        assert verify(key, b"edge", sig) is True
+        assert _expected_verdict(key, b"edge", sig)
+        if curve_id == BRAINPOOL_P256R1:
+            assert _python_verdict(key, b"edge", sig)
+
     def test_key_openssl_refuses_is_false(self, monkeypatch, brainpool):
-        # with verify's on-curve precheck and `Point.openssl_key`'s own
-        # bypassed, an off-curve key reaches OpenSSL's key load, whose
-        # ValueError verify turns into False
-        for module in (envelope, curve):
-            monkeypatch.setattr(module, "is_on_curve", lambda P: True)
+        # with `Point.openssl_key`'s on-curve check bypassed, an off-curve
+        # key reaches OpenSSL's key load, whose ValueError verify turns
+        # into False
+        monkeypatch.setattr(curve, "is_on_curve", lambda P: True)
         pair = _signer(BRAINPOOL_P256R1, 0)
         sig = sign(pair.private, b"m")
         off = Point(BRAINPOOL_P256R1, pair.public.x, pair.public.y + 1)

@@ -3,13 +3,14 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from collections.abc import Mapping
 
 import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from anoncert import actors, cli, curve, envelope, harness, oracle
+from anoncert import actors, certs, cli, curve, envelope, harness, oracle
 from anoncert.certs import encode
 from anoncert.cli import main
 from anoncert.curve import (
@@ -230,7 +231,7 @@ def refuse_ballot(monkeypatch, index):
 def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     # On the named curves every k*G and every ECDH runs in OpenSSL; the
     # Python `_mul`, the only way into the comb walk, computes only the
-    # u2*Q of the eight secp256r1 verifications per voter, so no private
+    # u2*Q of the seven secp256r1 verifications per voter, so no private
     # key, blinding scalar or ECDH secret goes through it. brainpoolP256r1
     # verifies in OpenSSL and builds no comb table at all.
     mul = curve._mul
@@ -255,7 +256,29 @@ def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
     if curve_id == BRAINPOOL_P256R1:
         assert walks == [] and builds == []
     else:
-        assert walks == [(True, 2)] * (8 * 5)
+        assert walks == [(True, 2)] * (7 * 5)
+
+
+@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
+def test_seven_signature_checks_per_voter(monkeypatch, curve_id):
+    # One check per trust decision: the RA checks the request's signature
+    # and the preexisting certificate, the CA the forwarded request, the
+    # RA the response it routes, the EE the anonymous certificate (not
+    # the response's signature), and the tally the ballot's certificate
+    # and its signature.
+    check, calls = certs.verify_signed, []
+
+    def spy(msg, signer_public):
+        calls.append(type(msg).__name__)
+        return check(msg, signer_public)
+
+    monkeypatch.setattr(certs, "verify_signed", spy)
+    monkeypatch.setattr(actors, "verify_signed", spy)
+    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
+    assert report.successes == 5
+    assert Counter(calls) == {"CertificateRequest": 5, "Certificate": 3 * 5,
+                              "ForwardedRequest": 5, "CertificateResponse": 5,
+                              "Ballot": 5}
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
@@ -264,7 +287,7 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     # voter then costs 5: 2 expansion r*G, its own key and 2 ECIES
     # ephemeral keys (each ECDH reuses its k*G derivation). The EE builds
     # k's key from (k, K) (`check_key_pair`), which derives nothing.
-    # On secp256r1 the u1*G of its 8 verifications adds 8 more; on
+    # On secp256r1 the u1*G of its 7 verifications adds 7 more; on
     # brainpoolP256r1 OpenSSL's verify derives no private key. Every
     # signature and decryption reuses a key derived earlier (123 when
     # each use derived its own, on secp256r1).
@@ -278,19 +301,19 @@ def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
     monkeypatch.setattr(ec, "derive_private_key", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    per_voter = 5 if curve_id == BRAINPOOL_P256R1 else 5 + 8
+    per_voter = 5 if curve_id == BRAINPOOL_P256R1 else 5 + 7
     assert len(calls) == 3 + per_voter * 5
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_openssl_public_key_loaded_once_per_point(monkeypatch, curve_id):
-    # `Point.openssl_key` loads each authority key once per run: the CA's
-    # and the RA's, and on brainpoolP256r1, whose verify runs in OpenSSL,
-    # the identity root's (60 loads on brainpoolP256r1 and 20 on
-    # secp256r1 when each use loaded its own). Each voter then loads its
-    # 2 ECIES ephemeral points, once per decryption, and its K, which
-    # `check_key_pair` loads and the ballot's verification reuses; on
-    # brainpoolP256r1 also the I of the request the RA verifies.
+    # `Point.openssl_key` loads each authority key once per run: the
+    # CA's, the RA's and the identity root's, since `verify` takes its key
+    # check from the load on both named curves (60 loads on
+    # brainpoolP256r1 and 20 on secp256r1 when each use loaded its own).
+    # Each voter then loads its 2 ECIES ephemeral points, once per
+    # decryption, the I of the request the RA verifies, and its K, which
+    # `check_key_pair` loads and the ballot's verification reuses.
     load = ec.EllipticCurvePublicNumbers.public_key
     calls = []
 
@@ -301,9 +324,7 @@ def test_openssl_public_key_loaded_once_per_point(monkeypatch, curve_id):
     monkeypatch.setattr(ec.EllipticCurvePublicNumbers, "public_key", spy)
     report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    per_voter = 4 if curve_id == BRAINPOOL_P256R1 else 3
-    authorities = 3 if curve_id == BRAINPOOL_P256R1 else 2
-    assert len(calls) == authorities + per_voter * 5
+    assert len(calls) == 3 + 4 * 5
 
 
 def held_bytes(obj, out):
