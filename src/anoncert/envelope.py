@@ -22,10 +22,10 @@ identity and a point off its curve or with a coordinate >= p, so neither
 ECIES nor verification checks a key itself. Verification is a predicate
 that never raises: a key off its tagged named curve, or a signature
 tagged with another curve, verifies nothing. It checks the curve tags
-and the range of r and s in Python and loads the key. On a curve with
-`CurveParams.openssl_verify` (brainpoolP256r1) OpenSSL then makes the
-whole check with that key, building no table.
-On secp256r1 it computes u1*G + u2*Q, whose scalars are public, with
+in Python and loads the key. With `CurveParams.openssl_verify`
+(brainpoolP256r1) OpenSSL then makes the whole check with that key,
+1 <= r, s <= n - 1 included, building no table. On secp256r1 it checks
+that range in Python and computes u1*G + u2*Q, whose public scalars go to
 `curve.mul_add`, the only way into the variable-time Python comb of
 `curve` on a named curve: u1*G in OpenSSL and u2*Q in the comb. A
 signer point's first walk uses a table built for it and dropped, and
@@ -166,9 +166,6 @@ def verify(signer_public: Point, message: bytes, sig: Signature) -> bool:
         key = signer_public.openssl_key
     except (CurveMismatch, ValueError):  # UnknownCurve is a ValueError
         return False
-    n = params.n
-    if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
-        return False
     if params.openssl_verify:
         try:
             key.verify(encode_dss_signature(sig.r.value, sig.s.value),
@@ -176,6 +173,9 @@ def verify(signer_public: Point, message: bytes, sig: Signature) -> bool:
         except InvalidSignature:
             return False
         return True
+    n = params.n
+    if not (1 <= sig.r.value <= n - 1 and 1 <= sig.s.value <= n - 1):
+        return False  # s must be invertible
     # both named curves have a 256-bit n, so ECDSA's truncation of the
     # SHA-256 digest to the bit length of n keeps every bit
     e = int.from_bytes(digest(message), "big") % n

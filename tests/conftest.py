@@ -64,6 +64,23 @@ def edge_scalars():
     return _edge_and_random_scalars
 
 
+def spy(monkeypatch, owner, name, hook=None) -> list:
+    """Wrap `owner.name` and return the list of each call's arguments,
+    noted before the call runs. With `hook`, each call hands `hook` its
+    result and arguments, and returns what `hook` returns (the result
+    when None)."""
+    real, calls = getattr(owner, name), []
+
+    def wrapped(*args):
+        calls.append(args)
+        out = real(*args)
+        changed = None if hook is None else hook(out, *args)
+        return out if changed is None else changed
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
 @st.composite
 def mutated(draw, blob: bytes) -> bytes:
     """`blob` cut before, with one byte flipped at, or with one byte

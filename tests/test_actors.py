@@ -66,36 +66,11 @@ from anoncert.errors import (
 )
 from anoncert.harness import _deliver
 from anoncert.rng import DeterministicRng
-from conftest import mutated
+from anoncert.vectors import PUBLISHED_VECTORS
+from conftest import mutated, spy
 
 NOW = 1_750_000_000
 VALIDITY = (NOW - 10, NOW + 3600)
-
-CHAINS = {
-    BRAINPOOL_P256R1: {
-        "i": "5D98BD1F7985FC560A8963D6709AAC8B01017D02FB14B12CEF168C9662056874",
-        "r_ra": "F407A78C2CFC8586AC1BA3199F7CBEF34F138894586B5992B61BB8B5A99C5EE7",
-        "r_ca": "474B007D2533DF88376824D4F784129F7BD7B01F1B3C7E69826912D4121A12DF",
-        "j": "A7A50CD00493D820783EFC5F7293DE0CC3DB8AF39E1E63C8151436C9745970B4",
-        "k": "44F4B57187D90DEC714116A3CC94633AB379C06F03F93B3A075F3B1AEF2B2CEC",
-        "J": ("6814044C70048578E6B120480CBA0B81186054403CAE4C67F688F4074AEDF39B",
-              "4969EBCD7400997FBEAF31481DBA738253052A2FF119FE178CF596EFA7AAE156"),
-        "K": ("80C6DE97A41127BAAFBC4F36E4E514514086A3E4B0F86F9729C52A8767616BF3",
-              "5E333A1B7AC00E2C126C48C343A1A314D2853D4FBD559B9453C434C8C1CDE396"),
-    },
-    SECP256R1: {
-        "i": "5D98BD1F7985FC560A8963D6709AAC8B01017D02FB14B12CEF168C9662056874",
-        "r_ra": "F649BE0670CD1C8325BF4EE06963C680E25140702DBCBAAA3D59B30D6CF3C727",
-        "r_ca": "A1754E3C913F9C98B1147DD142E66A3CBE59DD5B53B721C39B0A73BCE4EB1B32",
-        "j": "53E27B26EA5318D83048B2B6D9FE730C266BC2C581B9CD5238B674E0D2960A4A",
-        "k": "F557C9637B92B570E15D30881CE4DD48E4C5A020D570EF15D3C0E89DB781257C",
-        "J": ("78BF0F472CD984F8EA7A756A514118652B88224DD344D5D593E03F2AFBCC6FC6",
-              "A4C43CFFC945A1576B290EC63DB8FB31C74EF44F02963C67EB884E025B1A442E"),
-        "K": ("6FDFDCE25F876BD4B23FBFBFC9E49872944F01926989B5A72A1FD84125FEB428",
-              "8A108A7CBA97CF26FB9768A7599473F5F9AA27CD462280F41FCAC13FF1BA42E3"),
-    },
-}
-
 
 class Setup:
     def __init__(self, curve_id=BRAINPOOL_P256R1, seed=1, ee_keys_rng=None):
@@ -139,24 +114,24 @@ def ra_signed(setup, fwd, **changes):
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
 def test_published_chain_end_to_end(curve_id, scripted_rng):
-    chain = CHAINS[curve_id]
+    chain = PUBLISHED_VECTORS[curve_id]
     params = get_curve(curve_id)
     setup = Setup(curve_id, ee_keys_rng=scripted_rng(
-        [bytes.fromhex(chain["i"])]))
+        [bytes.fromhex(chain.i)]))
     # blinding draws are the first 32-byte reads on each side; the published
     # brainpool r_RA exceeds n and is injected reduced, which leaves the
     # whole chain unchanged
-    r_ra = int(chain["r_ra"], 16) % params.n
-    r_ca = int(chain["r_ca"], 16) % params.n
+    r_ra = int(chain.r_ra, 16) % params.n
+    r_ca = int(chain.r_ca, 16) % params.n
     req, fwd, resp, _ = setup.run_flow(
         ee_rng=scripted_rng([r_ra.to_bytes(32, "big")]),
         ca_rng=scripted_rng([r_ca.to_bytes(32, "big")]),
     )
     result = setup.ee.result
-    assert result.temporary_private.to_hex() == chain["j"]
-    assert result.formal_private.to_hex() == chain["k"]
-    assert fwd.temporary_public_key.to_hex() == "".join(chain["J"])
-    assert result.anon_cert.public_key.to_hex() == "".join(chain["K"])
+    assert result.temporary_private.to_hex() == chain.j
+    assert result.formal_private.to_hex() == chain.k
+    assert fwd.temporary_public_key.to_hex() == "".join(chain.J)
+    assert result.anon_cert.public_key.to_hex() == "".join(chain.K)
     assert scalar_mul(result.formal_private) == \
         result.anon_cert.public_key
 
@@ -380,13 +355,7 @@ class TestCaProcessing:
     def test_unusable_aes_key_envelope(self, drng, monkeypatch, recipient,
                                        key_len, message):
         # the CA refuses before it signs a certificate it could not send
-        issued, issue = [], actors.issue_certificate
-
-        def spy(*args):
-            issued.append(args)
-            return issue(*args)
-
-        monkeypatch.setattr(actors, "issue_certificate", spy)
+        issued = spy(monkeypatch, actors, "issue_certificate")
         setup = Setup()
         req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
                                    setup.ca_keys.public, {}, drng)
@@ -817,18 +786,11 @@ class TestBallots:
             box.append(encode(signed(Ballot, voter.private,
                                      payload=b"ballot %d" % i,
                                      anon_cert=cert)))
-        kept = []
-        build = curve._build_comb
-
-        def spy(P, teeth):
-            if teeth == curve.COMB_TEETH:
-                kept.append(P)
-            return build(P, teeth)
-
-        monkeypatch.setattr(curve, "_build_comb", spy)
+        builds = spy(monkeypatch, curve, "_build_comb")
         verdicts = [verify_ballot(decode(b, Ballot), ca.public, NOW)
                     for b in box]
         assert all(verdicts)
+        kept = [P for P, teeth in builds if teeth == curve.COMB_TEETH]
         assert len(kept) == 1 and kept[0] is ca.public
 
     def test_expired_cert_fails(self):

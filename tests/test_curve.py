@@ -39,20 +39,15 @@ from anoncert.errors import (
 from anoncert.oracle import (INF, _to_point, enumerate_group, oracle_add,
                              oracle_mul)
 from anoncert.rng import DeterministicRng
+from anoncert.vectors import PUBLISHED_VECTORS
+from conftest import spy
 
-# Chain constants shared with the published-vector fixtures; reproduced
-# here so the unit tests do not depend on the verifier module.
-I_PRIV = int("5D98BD1F7985FC560A8963D6709AAC8B01017D02FB14B12CEF168C9662056874", 16)
-I_PUB = (int("719CE2A5F8D8174418C3B3AA2E9C4F0EE8AF17F3A9E02A0656E03C32EC05383A", 16),
-         int("2E98CA241C58A4933AEE7D4A22394D27EFC1C64618686A00519CC5CB4DE1A93D", 16))
-R_RA = int("F407A78C2CFC8586AC1BA3199F7CBEF34F138894586B5992B61BB8B5A99C5EE7", 16)
-J_SCALAR = int("A7A50CD00493D820783EFC5F7293DE0CC3DB8AF39E1E63C8151436C9745970B4", 16)
-J_PUB = (int("6814044C70048578E6B120480CBA0B81186054403CAE4C67F688F4074AEDF39B", 16),
-         int("4969EBCD7400997FBEAF31481DBA738253052A2FF119FE178CF596EFA7AAE156", 16))
-R_CA = int("474B007D2533DF88376824D4F784129F7BD7B01F1B3C7E69826912D4121A12DF", 16)
-K_SCALAR = int("44F4B57187D90DEC714116A3CC94633AB379C06F03F93B3A075F3B1AEF2B2CEC", 16)
-K_PUB = (int("80C6DE97A41127BAAFBC4F36E4E514514086A3E4B0F86F9729C52A8767616BF3", 16),
-         int("5E333A1B7AC00E2C126C48C343A1A314D2853D4FBD559B9453C434C8C1CDE396", 16))
+# the published brainpoolP256r1 chain, as integers
+CHAIN = PUBLISHED_VECTORS[BRAINPOOL_P256R1]
+I_PRIV, R_RA, J_SCALAR, R_CA, K_SCALAR = (
+    int(h, 16) for h in (CHAIN.i, CHAIN.r_ra, CHAIN.j, CHAIN.r_ca, CHAIN.k))
+I_PUB, J_PUB, K_PUB = (tuple(int(c, 16) for c in xy)
+                       for xy in (CHAIN.I, CHAIN.J, CHAIN.K))
 
 
 class TestPointAdd:
@@ -149,14 +144,9 @@ class TestPointOpensslKey:
     def test_loaded_once_per_object(self, monkeypatch, named_curve):
         # a reused key loads once; an equal Point built separately loads
         # its own
-        load = ec.EllipticCurvePublicNumbers.public_key
         loads = []
-
-        def spy(numbers, *args):
-            loads.append((numbers.x, numbers.y))
-            return load(numbers, *args)
-
-        monkeypatch.setattr(ec.EllipticCurvePublicNumbers, "public_key", spy)
+        spy(monkeypatch, ec.EllipticCurvePublicNumbers, "public_key",
+            lambda out, numbers: loads.append((numbers.x, numbers.y)))
         P = Point(named_curve.curve_id, named_curve.gx, named_curve.gy)
         key = P.openssl_key
         assert P.openssl_key is key
@@ -324,17 +314,11 @@ class TestVariableBase:
         # a Point's first `_mul` builds a throwaway table; its second
         # builds the table it keeps, and later ones build none. Only
         # secp256r1 verifies through the comb; its u1*G runs in OpenSSL.
-        builds = []
-        build = curve._build_comb
-
-        def spy(P, teeth):
-            builds.append((P, teeth))
-            return build(P, teeth)
+        builds = spy(monkeypatch, curve, "_build_comb")
 
         def kept():
             return [P for P, teeth in builds if teeth == curve.COMB_TEETH]
 
-        monkeypatch.setattr(curve, "_build_comb", spy)
         signer = generate_keypair(get_curve(curve_id), DeterministicRng(5))
         for i in range(10):
             msg = b"message %d" % i
@@ -433,12 +417,10 @@ class TestExpansion:
         assert expand_private(j, r).value == K_SCALAR
 
     def test_published_secp_chain(self, secp):
-        j = Scalar(secp.curve_id, int(
-            "53E27B26EA5318D83048B2B6D9FE730C266BC2C581B9CD5238B674E0D2960A4A", 16))
-        r_ca = Scalar(secp.curve_id, int(
-            "A1754E3C913F9C98B1147DD142E66A3CBE59DD5B53B721C39B0A73BCE4EB1B32", 16))
-        assert expand_private(j, r_ca).to_hex() == (
-            "F557C9637B92B570E15D30881CE4DD48E4C5A020D570EF15D3C0E89DB781257C")
+        chain = PUBLISHED_VECTORS[SECP256R1]
+        j = Scalar.from_hex(chain.j, secp.curve_id)
+        r_ca = Scalar.from_hex(chain.r_ca, secp.curve_id)
+        assert expand_private(j, r_ca).to_hex() == chain.k
 
     def test_blinding_range_enforced(self, brainpool):
         I = Point(brainpool.curve_id, *I_PUB)

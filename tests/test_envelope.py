@@ -44,9 +44,7 @@ from anoncert.errors import (
     UnknownCurve,
 )
 from anoncert.rng import DeterministicRng
-
-R_RA_HEX = "F407A78C2CFC8586AC1BA3199F7CBEF34F138894586B5992B61BB8B5A99C5EE7"
-
+from anoncert.vectors import PUBLISHED_VECTORS
 
 def _flip_bit(data: bytes, bit: int) -> bytes:
     out = bytearray(data)
@@ -82,7 +80,7 @@ class TestEcies:
         # fixed-seed envelope carrying the published 32-byte blinding value
         rng = DeterministicRng(2024)
         pair = generate_keypair(brainpool, rng)
-        plaintext = bytes.fromhex(R_RA_HEX)
+        plaintext = bytes.fromhex(PUBLISHED_VECTORS[BRAINPOOL_P256R1].r_ra)
         ct = ecies_encrypt(pair.public, plaintext, rng)
         recovered = ecies_decrypt(pair.private, ct)
         assert recovered == plaintext and len(recovered) == 32
@@ -402,8 +400,8 @@ def _recovered(R: Point, s: int, message: bytes):
     return key, Signature(Scalar(R.curve_id, r), Scalar(R.curve_id, s))
 
 
-VERIFY_CASES = ("valid", "flip", "r", "s", "high_s", "off_curve", "identity",
-                "other_curve", "x+p", "y+p")
+VERIFY_CASES = ("valid", "flip", "r", "s", "high_s", "r+n", "s+n",
+                "off_curve", "identity", "other_curve", "x+p", "y+p")
 
 
 def _verify_case(curve_id, seed, message, case, edge, bit):
@@ -417,8 +415,11 @@ def _verify_case(curve_id, seed, message, case, edge, bit):
     value = (0, 1, n - 1, n, n + 1, 2 ** 256 - 1)[edge]
     if case == "flip":
         message = _flip_bit(message, bit % (8 * len(message)))
-    elif case in ("r", "s", "high_s"):
-        r, s = {"r": (value, s), "s": (r, value), "high_s": (r, n - s)}[case]
+    elif case in ("r", "s", "high_s", "r+n", "s+n"):
+        # r + n and s + n, the same residues, where they fit in 32 bytes
+        r, s = {"r": (value, s), "s": (r, value), "high_s": (r, n - s),
+                "r+n": (r + n if r + n < 2 ** 256 else r, s),
+                "s+n": (r, s + n if s + n < 2 ** 256 else s)}[case]
         sig = Signature(Scalar(curve_id, r), Scalar(curve_id, s))
     elif case == "other_curve":
         other = ({BRAINPOOL_P256R1, SECP256R1} - {curve_id}).pop()

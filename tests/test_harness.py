@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from anoncert import actors, certs, cli, curve, envelope, harness, oracle
+from anoncert import actors, certs, cli, curve, harness, oracle
 from anoncert.certs import encode
 from anoncert.cli import main
 from anoncert.curve import (
@@ -26,6 +27,7 @@ from anoncert.errors import Ineligible, UnknownCurve
 from anoncert.harness import ScenarioConfig, run_scenario
 from anoncert.oracle import CHECKS, run_oracle_suite
 from anoncert.vectors import PUBLISHED_VECTORS, verify_published_vectors
+from conftest import spy
 
 
 class TestScenario:
@@ -94,18 +96,9 @@ class TestScenario:
     def test_misrouted_response_is_not_delivered(self, monkeypatch):
         # a response reaches only the EE the RA routes it to; any other
         # route is this voter's typed failure, not a finalized credential
-        route, process = harness.ra_route_response, harness.ee_process_response
-        finalized = []
-
-        def misroute(state, resp):
-            return "voter-999", route(state, resp)[1]
-
-        def spy(*args):
-            finalized.append(args)
-            return process(*args)
-
-        monkeypatch.setattr(harness, "ra_route_response", misroute)
-        monkeypatch.setattr(harness, "ee_process_response", spy)
+        spy(monkeypatch, harness, "ra_route_response",
+            lambda out, *_: ("voter-999", out[1]))
+        finalized = spy(monkeypatch, harness, "ee_process_response")
         report = run_scenario(ScenarioConfig(SECP256R1, 3, 7))
         assert [v.error for v in report.voters] == [
             "ProtocolStateError: RA routed the response to voter-999"] * 3
@@ -115,13 +108,7 @@ class TestScenario:
     def test_dump_path_that_is_a_file_refused_before_any_work(
             self, monkeypatch, tmp_path):
         # the dump would fail only after the whole run had been spent
-        made, keygen = [], harness.generate_keypair
-
-        def spy(params, rng):
-            made.append(params.curve_id)
-            return keygen(params, rng)
-
-        monkeypatch.setattr(harness, "generate_keypair", spy)
+        made = spy(monkeypatch, harness, "generate_keypair")
         path = tmp_path / "transcript"
         path.write_text("not a directory\n")
         with pytest.raises(ValueError):
@@ -132,13 +119,7 @@ class TestScenario:
     def test_dump_path_under_a_file_refused_before_any_work(
             self, monkeypatch, tmp_path):
         # no directory can be made below a regular file
-        made, keygen = [], harness.generate_keypair
-
-        def spy(params, rng):
-            made.append(params.curve_id)
-            return keygen(params, rng)
-
-        monkeypatch.setattr(harness, "generate_keypair", spy)
+        made = spy(monkeypatch, harness, "generate_keypair")
         blocker = tmp_path / "transcript"
         blocker.write_text("not a directory\n")
         with pytest.raises(ValueError, match="not a usable directory"):
@@ -165,15 +146,11 @@ class TestScenario:
                 ca_draws.append(r)
             return r
 
-        forbidden, leaks = {}, harness._leaks
-
-        def spy_leaks(log, actor, needles):
-            forbidden[actor] = dict(needles)
-            return leaks(log, actor, needles)
-
+        forbidden = {}
         monkeypatch.setattr("anoncert.actors.expand_private", skewed)
         monkeypatch.setattr(actors, "random_blinding", spy_draw)
-        monkeypatch.setattr(harness, "_leaks", spy_leaks)
+        spy(monkeypatch, harness, "_leaks", lambda out, log, actor, needles:
+            forbidden.update({actor: dict(needles)}))
         report = run_scenario(ScenarioConfig(SECP256R1, 1, 7))
         assert report.successes == 1
         assert not report.voters[0].invariant_ok
@@ -186,25 +163,21 @@ class TestScenario:
         # hop, never the sender's own object
         sent, received = [], []
 
-        def spy(name, received_at, sent_of):
-            step = getattr(harness, name)
-
-            def wrapped(*args):
+        def hop(name, received_at, sent_of):
+            def hook(out, *args):
                 if received_at is not None:
                     received.append(args[received_at])
-                out = step(*args)
                 if sent_of is not None:
                     sent.append(sent_of(args, out))
-                return out
 
-            monkeypatch.setattr(harness, name, wrapped)
+            spy(monkeypatch, harness, name, hook)
 
-        spy("ee_create_request", None, lambda args, out: out[0])
-        spy("ra_process_request", 1, lambda args, out: out[0])
-        spy("ca_process_request", 1, lambda args, out: out[0])
+        hop("ee_create_request", None, lambda args, out: out[0])
+        hop("ra_process_request", 1, lambda args, out: out[0])
+        hop("ca_process_request", 1, lambda args, out: out[0])
         # the RA passes on the response it was handed
-        spy("ra_route_response", 1, lambda args, out: args[1])
-        spy("ee_process_response", 1, None)
+        hop("ra_route_response", 1, lambda args, out: args[1])
+        hop("ee_process_response", 1, None)
         report = run_scenario(ScenarioConfig(SECP256R1, 1, 7), dump_dir=tmp_path)
         assert report.successes == 1
         hops = [bytes.fromhex(path.read_text())
@@ -218,113 +191,88 @@ class TestScenario:
 
 def refuse_ballot(monkeypatch, index):
     """Make the harness's check of the `index`-th ballot it casts fail."""
-    verify, checked = harness.verify_ballot, []
-
-    def spy(ballot, ca_public, now):
-        checked.append(ballot)
-        return verify(ballot, ca_public, now) and len(checked) != index + 1
-
-    monkeypatch.setattr(harness, "verify_ballot", spy)
+    checked = spy(monkeypatch, harness, "verify_ballot",
+                  lambda ok, *_: ok and len(checked) != index + 1)
 
 
-@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
-def test_python_mul_runs_only_inside_verify(monkeypatch, curve_id):
-    # On the named curves every k*G and every ECDH runs in OpenSSL; the
-    # Python `_mul`, the only way into the comb walk, computes only the
-    # u2*Q of the seven secp256r1 verifications per voter, so no private
-    # key, blinding scalar or ECDH secret goes through it. brainpoolP256r1
-    # verifies in OpenSSL and builds no comb table at all.
-    mul = curve._mul
-    build = curve._build_comb
-    walks, builds = [], []
+# The calls one seeded 5-voter run (seed 77) makes, per curve. The CA, RA
+# and identity-root keys are derived and loaded once per run (the 3 +).
+# Each voter then derives 5 keys: 2 expansion r*G, its own key and 2 ECIES
+# ephemeral keys (each ECDH reuses its k*G derivation); the EE builds k's
+# key from (k, K) (`check_key_pair`), which derives nothing. On secp256r1
+# the u1*G of its 7 verifications adds 7 more; brainpoolP256r1's OpenSSL
+# verify derives no private key. Each voter loads 4 public keys: its 2
+# ECIES ephemeral points, once per decryption, the I of the request the
+# RA verifies, and its K, which `check_key_pair` loads and the ballot's
+# verification reuses. It makes 7 signature checks, one per trust
+# decision: the RA checks the request and the preexisting certificate,
+# the CA the forwarded request, the RA the response it routes, the EE the
+# anonymous certificate (not the response's signature), and the tally the
+# ballot's certificate and its signature. The Python `_mul`, the only way
+# into the comb, computes only the u2*Q of secp256r1's 7 verifications
+# (the `mul_add` and `_mul` rows of test_import_paths keep it there): a
+# key's first walk builds a table it drops, its second the kept one, so
+# the 3 authority keys build 2 and each voter's I and K 1. brainpoolP256r1
+# builds no comb table at all.
+SIGNATURE_CHECKS = {"verify_signed CertificateRequest": 5,
+                    "verify_signed Certificate": 3 * 5,
+                    "verify_signed ForwardedRequest": 5,
+                    "verify_signed CertificateResponse": 5,
+                    "verify_signed Ballot": 5}
+LEDGER = {
+    BRAINPOOL_P256R1: {"derive_private_key": 3 + 5 * 5,
+                       "public_key": 3 + 4 * 5, **SIGNATURE_CHECKS,
+                       "_mul": 0, "_build_comb": 0},
+    SECP256R1: {"derive_private_key": 3 + (5 + 7) * 5,
+                "public_key": 3 + 4 * 5, **SIGNATURE_CHECKS,
+                "_mul": 7 * 5, "_build_comb": 3 * 2 + 2 * 5},
+}
 
-    def spy(*args):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not envelope.verify.__code__:
-            frame = frame.f_back
-        walks.append((frame is not None, len(args)))
-        return mul(*args)
 
-    def build_spy(P, teeth):
-        builds.append(teeth)
-        return build(P, teeth)
-
-    monkeypatch.setattr(curve, "_mul", spy)
-    monkeypatch.setattr(curve, "_build_comb", build_spy)
-    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
+@functools.cache
+def counted(curve_id: str) -> Counter:
+    """The calls of the curve's seeded LEDGER run, each under its row."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = {"derive_private_key": spy(mp, ec, "derive_private_key"),
+                 "public_key": spy(mp, ec.EllipticCurvePublicNumbers,
+                                   "public_key"),
+                 "_mul": spy(mp, curve, "_mul"),
+                 "_build_comb": spy(mp, curve, "_build_comb")}
+        checks = [spy(mp, module, "verify_signed")
+                  for module in (certs, actors)]
+        report = run_scenario(ScenarioConfig(curve_id, 5, 77))
     assert report.successes == 5
-    if curve_id == BRAINPOOL_P256R1:
-        assert walks == [] and builds == []
-    else:
-        assert walks == [(True, 2)] * (7 * 5)
+    return Counter({row: len(made) for row, made in calls.items()}) + Counter(
+        f"verify_signed {type(msg).__name__}"
+        for made in checks for msg, _ in made)
 
 
-@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
-def test_seven_signature_checks_per_voter(monkeypatch, curve_id):
-    # One check per trust decision: the RA checks the request's signature
-    # and the preexisting certificate, the CA the forwarded request, the
-    # RA the response it routes, the EE the anonymous certificate (not
-    # the response's signature), and the tally the ballot's certificate
-    # and its signature.
-    check, calls = certs.verify_signed, []
-
-    def spy(msg, signer_public):
-        calls.append(type(msg).__name__)
-        return check(msg, signer_public)
-
-    monkeypatch.setattr(certs, "verify_signed", spy)
-    monkeypatch.setattr(actors, "verify_signed", spy)
-    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
-    assert report.successes == 5
-    assert Counter(calls) == {"CertificateRequest": 5, "Certificate": 3 * 5,
-                              "ForwardedRequest": 5, "CertificateResponse": 5,
-                              "Ballot": 5}
+def ledger_rows(curve_id: str, *functions) -> list:
+    """The LEDGER rows of `functions` on the curve, and the calls its run
+    counted under them."""
+    return [Counter({row: n for row, n in rows.items()
+                     if row.split()[0] in functions})
+            for rows in (LEDGER[curve_id], counted(curve_id))]
 
 
-@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
-def test_openssl_key_derived_once_per_scalar(monkeypatch, curve_id):
-    # The CA, RA and identity-root keys are derived once per run. Each
-    # voter then costs 5: 2 expansion r*G, its own key and 2 ECIES
-    # ephemeral keys (each ECDH reuses its k*G derivation). The EE builds
-    # k's key from (k, K) (`check_key_pair`), which derives nothing.
-    # On secp256r1 the u1*G of its 7 verifications adds 7 more; on
-    # brainpoolP256r1 OpenSSL's verify derives no private key. Every
-    # signature and decryption reuses a key derived earlier (123 when
-    # each use derived its own, on secp256r1).
-    derive = ec.derive_private_key
-    calls = []
-
-    def spy(value, ec_curve):
-        calls.append(value)
-        return derive(value, ec_curve)
-
-    monkeypatch.setattr(ec, "derive_private_key", spy)
-    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
-    assert report.successes == 5
-    per_voter = 5 if curve_id == BRAINPOOL_P256R1 else 5 + 7
-    assert len(calls) == 3 + per_voter * 5
+def test_python_mul_runs_only_inside_verify(named_curve):
+    want, calls = ledger_rows(named_curve.curve_id, "_mul", "_build_comb")
+    assert calls == want
 
 
-@pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
-def test_openssl_public_key_loaded_once_per_point(monkeypatch, curve_id):
-    # `Point.openssl_key` loads each authority key once per run: the
-    # CA's, the RA's and the identity root's, since `verify` takes its key
-    # check from the load on both named curves (60 loads on
-    # brainpoolP256r1 and 20 on secp256r1 when each use loaded its own).
-    # Each voter then loads its 2 ECIES ephemeral points, once per
-    # decryption, the I of the request the RA verifies, and its K, which
-    # `check_key_pair` loads and the ballot's verification reuses.
-    load = ec.EllipticCurvePublicNumbers.public_key
-    calls = []
+def test_seven_signature_checks_per_voter(named_curve):
+    want, calls = ledger_rows(named_curve.curve_id, "verify_signed")
+    assert calls == want
 
-    def spy(numbers, *args):
-        calls.append(numbers)
-        return load(numbers, *args)
 
-    monkeypatch.setattr(ec.EllipticCurvePublicNumbers, "public_key", spy)
-    report = run_scenario(ScenarioConfig(curve_id, 5, 77))
-    assert report.successes == 5
-    assert len(calls) == 3 + 4 * 5
+def test_openssl_key_derived_once_per_scalar(named_curve):
+    want, calls = ledger_rows(named_curve.curve_id, "derive_private_key")
+    assert calls == want
+
+
+def test_openssl_public_key_loaded_once_per_point(named_curve):
+    want, calls = ledger_rows(named_curve.curve_id, "public_key")
+    assert calls == want
 
 
 def held_bytes(obj, out):
@@ -354,22 +302,14 @@ def test_authority_states_hold_no_voter_secret(monkeypatch, curve_id):
     # must hold nothing of the blinding or the anonymous credential, the
     # CA's nothing that names the voter.
     ra_states, ca_states, requested, finalized = [], [], [], []
-
-    def spy(name, keep):
-        step = getattr(harness, name)
-
-        def wrapped(*args):
-            out = step(*args)
-            keep(out)
-            return out
-
-        monkeypatch.setattr(harness, name, wrapped)
-
-    spy("ra_process_request", lambda out: ra_states.append(out[1]))
-    spy("ra_route_response", lambda out: ra_states.append(out[1]))
-    spy("ca_process_request", lambda out: ca_states.append(out[1]))
-    spy("ee_create_request", lambda out: requested.append(out[1]))
-    spy("ee_process_response", finalized.append)
+    for name, kept in [("ra_process_request", ra_states),
+                       ("ra_route_response", ra_states),
+                       ("ca_process_request", ca_states),
+                       ("ee_create_request", requested)]:
+        spy(monkeypatch, harness, name,
+            lambda out, *_, kept=kept: kept.append(out[1]))
+    spy(monkeypatch, harness, "ee_process_response",
+        lambda out, *_: finalized.append(out))
     report = run_scenario(ScenarioConfig(curve_id, 4, 77))
     assert report.successes == 4
     assert len(requested) == len(finalized) == 4
@@ -645,14 +585,9 @@ class TestTranscriptDump:
     def test_seed_77_ballot_golden(self, monkeypatch, curve_id, want):
         # ballots never reach the transcript, so the wire golden above does
         # not pin their layout: hash the encodings of the 5 ballots cast
-        cast, sign_ballot = [], harness.sign_ballot
-
-        def spy(state, payload):
-            ballot = sign_ballot(state, payload)
-            cast.append(encode(ballot))
-            return ballot
-
-        monkeypatch.setattr("anoncert.harness.sign_ballot", spy)
+        cast = []
+        spy(monkeypatch, harness, "sign_ballot",
+            lambda ballot, *_: cast.append(encode(ballot)))
         run_scenario(ScenarioConfig(curve_id, 5, 77))
         assert len(cast) == 5
         assert hashlib.sha256(b"".join(cast)).hexdigest() == want
