@@ -2,9 +2,11 @@
 
 Full ASN.1/DER X.509 is deliberately not modeled; certificates are a
 minimal canonical binary record with the semantic fields the protocol
-needs. `LAYOUT` is the wire specification: for each message it gives the
-2-byte type tag, the fields in wire order with their kinds, and the
-trailing signature field. Variable-length fields carry 4-byte big-endian
+needs. `LAYOUT` is the wire specification. Each message is declared
+once: its 2-byte type tag, its fields in wire order with their kinds,
+and its trailing signature field; each `LAYOUT` declaration also
+generates the message's record class, a frozen dataclass that takes the
+fields in wire order. Variable-length fields carry 4-byte big-endian
 length prefixes and string maps are sorted by key. One writer and one
 reader are driven by the table, and decoding is canonical: `decode`
 refuses every input `b` for which `encode(decode(b)) != b`, and
@@ -25,7 +27,7 @@ one whose `curve_id` is not its issuer key's curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 from .curve import Point, Scalar, is_on_curve
@@ -38,52 +40,6 @@ KIND_ANONYMOUS = "anonymous"
 _CERT_KINDS = (KIND_PREEXISTING, KIND_ANONYMOUS)  # wire codes 0 and 1
 
 DEFAULT_DETAIL_ALLOWLIST = frozenset({"purpose", "election_id", "curve_id"})
-
-
-@dataclass(frozen=True)
-class Certificate:
-    serial: bytes
-    subject: str
-    issuer: str
-    curve_id: str
-    public_key: Point
-    not_before: int
-    not_after: int
-    kind: str
-    issuer_signature: Signature
-
-
-@dataclass(frozen=True)
-class CertificateRequest:
-    preexisting_cert: Certificate
-    r_ra_ct: bytes
-    s_ct: bytes
-    details: Mapping[str, str]
-    signature: Signature
-
-
-@dataclass(frozen=True)
-class ForwardedRequest:
-    curve_id: str
-    temporary_public_key: Point
-    s_ct: bytes
-    details: Mapping[str, str]
-    signature: Signature
-
-
-@dataclass(frozen=True)
-class CertificateResponse:
-    curve_id: str
-    z_ct: bytes
-    request_hash: bytes
-    signature: Signature
-
-
-@dataclass(frozen=True)
-class Ballot:
-    payload: bytes
-    anon_cert: Certificate
-    signature: Signature
 
 
 class _Reader:
@@ -182,18 +138,20 @@ class FieldKind(NamedTuple):
     read: Callable   # (_Reader, field name) -> value
 
 
-SERIAL = FieldKind(bytes, lambda r, f: r.take(16, f))
-TEXT = FieldKind(_text, _Reader.text)
-CURVE_ID = FieldKind(_text, _Reader.curve)  # text that sets the message's curve
-U64 = FieldKind(lambda v: v.to_bytes(8, "big"), _Reader.u64)
-POINT = FieldKind(Point.to_bytes,
+# Each kind's comment names the Python type of a field of that kind.
+SERIAL = FieldKind(bytes, lambda r, f: r.take(16, f))  # 16 bytes, as bytes
+TEXT = FieldKind(_text, _Reader.text)  # str
+CURVE_ID = FieldKind(_text, _Reader.curve)  # str; sets the message's curve
+U64 = FieldKind(lambda v: v.to_bytes(8, "big"), _Reader.u64)  # int
+POINT = FieldKind(Point.to_bytes,  # Point
                   lambda r, f: Point.from_bytes(r.take(64, f), r.curve_id))
-CERT_KIND = FieldKind(_write_cert_kind, _Reader.cert_kind)
-BLOB = FieldKind(_var, _Reader.var)
-NESTED_CERT = FieldKind(lambda cert: _var(encode(cert)), _Reader.certificate)
-STR_MAP = FieldKind(_write_str_map, _Reader.str_map)
-HASH = FieldKind(bytes, lambda r, f: r.take(32, f))
-SIGNATURE = FieldKind(Signature.to_bytes,
+CERT_KIND = FieldKind(_write_cert_kind, _Reader.cert_kind)  # str, a kind
+BLOB = FieldKind(_var, _Reader.var)  # bytes
+NESTED_CERT = FieldKind(lambda cert: _var(encode(cert)),  # Certificate
+                        _Reader.certificate)
+STR_MAP = FieldKind(_write_str_map, _Reader.str_map)  # Mapping[str, str]
+HASH = FieldKind(bytes, lambda r, f: r.take(32, f))  # 32 bytes, as bytes
+SIGNATURE = FieldKind(Signature.to_bytes,  # Signature
                       lambda r, f: Signature.from_bytes(r.take(64, f), r.curve_id))
 
 
@@ -203,22 +161,38 @@ class Layout(NamedTuple):
     fields: tuple   # (name, FieldKind) in wire order
 
 
-LAYOUT = {
-    Certificate: Layout(0x0001, "issuer_signature", (
-        ("serial", SERIAL), ("subject", TEXT), ("issuer", TEXT),
-        ("curve_id", CURVE_ID), ("public_key", POINT),
-        ("not_before", U64), ("not_after", U64), ("kind", CERT_KIND))),
-    CertificateRequest: Layout(0x0002, "signature", (
-        ("preexisting_cert", NESTED_CERT), ("r_ra_ct", BLOB),
-        ("s_ct", BLOB), ("details", STR_MAP))),
-    ForwardedRequest: Layout(0x0003, "signature", (
-        ("curve_id", CURVE_ID), ("temporary_public_key", POINT),
-        ("s_ct", BLOB), ("details", STR_MAP))),
-    CertificateResponse: Layout(0x0004, "signature", (
-        ("curve_id", CURVE_ID), ("z_ct", BLOB), ("request_hash", HASH))),
-    Ballot: Layout(0x0005, "signature", (
-        ("payload", BLOB), ("anon_cert", NESTED_CERT))),
-}
+LAYOUT = {}
+
+
+def _message(name: str, tag: int, signature: str, *fields) -> type:
+    """Declare a message: a frozen record class `name` whose fields are
+    `fields` then `signature`, in wire order, registered in LAYOUT."""
+    cls = make_dataclass(name, [field for field, _ in fields] + [signature],
+                         frozen=True)
+    cls.__module__ = __name__  # make_dataclass takes no module= before 3.12
+    LAYOUT[cls] = Layout(tag, signature, fields)
+    return cls
+
+
+Certificate = _message(
+    "Certificate", 0x0001, "issuer_signature",
+    ("serial", SERIAL), ("subject", TEXT), ("issuer", TEXT),
+    ("curve_id", CURVE_ID), ("public_key", POINT),
+    ("not_before", U64), ("not_after", U64), ("kind", CERT_KIND))
+CertificateRequest = _message(
+    "CertificateRequest", 0x0002, "signature",
+    ("preexisting_cert", NESTED_CERT), ("r_ra_ct", BLOB), ("s_ct", BLOB),
+    ("details", STR_MAP))
+ForwardedRequest = _message(
+    "ForwardedRequest", 0x0003, "signature",
+    ("curve_id", CURVE_ID), ("temporary_public_key", POINT), ("s_ct", BLOB),
+    ("details", STR_MAP))
+CertificateResponse = _message(
+    "CertificateResponse", 0x0004, "signature",
+    ("curve_id", CURVE_ID), ("z_ct", BLOB), ("request_hash", HASH))
+Ballot = _message(
+    "Ballot", 0x0005, "signature",
+    ("payload", BLOB), ("anon_cert", NESTED_CERT))
 
 # The plaintext of a response's z_ct: the anonymous certificate and the
 # CA's 32-byte blinding scalar r_CA.

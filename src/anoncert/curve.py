@@ -223,11 +223,7 @@ _SECP256R1 = CurveParams(
 _TOY = CurveParams(curve_id=TOY, p=17, a=2, b=2, gx=5, gy=1, n=19,
                    openssl_curve=None, openssl_verify=False)
 
-CURVES = {
-    BRAINPOOL_P256R1: _BRAINPOOL,
-    SECP256R1: _SECP256R1,
-    TOY: _TOY,
-}
+CURVES = {c.curve_id: c for c in (_BRAINPOOL, _SECP256R1, _TOY)}
 
 def get_curve(curve_id: str) -> CurveParams:
     try:
@@ -287,7 +283,7 @@ def _to_jac(P: Point):
 
 def _jac_double(P, p: int, a: int):
     X, Y, Z = P
-    if Z == 0 or Y == 0:
+    if Z == 0:
         return _JAC_INF
     YY = Y * Y % p
     ZZ = Z * Z % p

@@ -277,6 +277,18 @@ def _signed_samples(curve_id=SECP256R1):
     return signer, {type(msg): msg for msg in messages}
 
 
+@pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=_class_name)
+def test_each_record_takes_its_wire_fields_in_order(cls):
+    layout = LAYOUT[cls]
+    assert [field.name for field in dataclasses.fields(cls)] == [
+        name for name, _ in layout.fields] + [layout.signature]
+    assert (cls.__module__, cls.__qualname__) == ("anoncert.certs",
+                                                  cls.__name__)
+    msg = _signed_samples()[1][cls]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(msg, layout.signature, None)
+
+
 @pytest.mark.parametrize("accepted", MESSAGE_CLASSES, ids=_class_name)
 @pytest.mark.parametrize("sent", MESSAGE_CLASSES, ids=_class_name)
 def test_decode_returns_only_the_class_it_is_given(sent, accepted):
@@ -352,6 +364,18 @@ class TestDecodingDefects:
         assert len(inner) > 70_000
         with pytest.raises(MalformedEncoding, match="type tag 0x0005"):
             decode(inner)
+
+    @pytest.mark.parametrize("code", [2, 255])
+    def test_unknown_kind_code_is_malformed(self, brainpool, issuer, drng,
+                                            code):
+        # the kind byte is the last before the 64-byte issuer signature;
+        # codes 0 and 1 are the two kinds, and 2 is the first past them
+        _, cert = make_cert(brainpool, issuer, drng)
+        blob = bytearray(encode(cert))
+        blob[-65] = code
+        with pytest.raises(MalformedEncoding,
+                           match=f"unknown kind code {code}$"):
+            decode(bytes(blob))
 
     @pytest.mark.parametrize("pairs", [
         [("purpose", "vote"), ("election_id", "E1")],

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from anoncert import actors, certs, cli, curve, harness, oracle
+from anoncert import actors, certs, curve, harness, oracle, vectors
 from anoncert.certs import encode
 from anoncert.cli import main
 from anoncert.curve import (
@@ -355,8 +355,10 @@ class TestVectors:
         assert len(results) == 12
         assert all(r.passed for r in results)
 
-    def test_corrupted_constant_reported_per_relation(self):
-        results = verify_published_vectors(corrupted_brainpool_k())
+    def test_corrupted_constant_reported_per_relation(self, monkeypatch):
+        monkeypatch.setattr(vectors, "PUBLISHED_VECTORS",
+                            corrupted_brainpool_k())
+        results = verify_published_vectors()
         failed = [r.relation for r in results if not r.passed]
         assert set(failed) == {"K = J + r_CA*G", "k*G = K"}
         assert sum(r.passed for r in results) == 4
@@ -419,8 +421,7 @@ class TestCli:
 
     def test_vectors_failure_shown(self, monkeypatch):
         corrupted = corrupted_brainpool_k()
-        monkeypatch.setattr(cli, "verify_published_vectors",
-                            lambda: verify_published_vectors(corrupted))
+        monkeypatch.setattr(vectors, "PUBLISHED_VECTORS", corrupted)
         result = CliRunner().invoke(main, ["vectors"])
         assert result.exit_code == 1
         lines = result.output.splitlines()

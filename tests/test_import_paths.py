@@ -7,7 +7,7 @@ is not a submodule of M.
 
 `RULES` keeps the boundaries of the package. A row names what it guards,
 then the places of `src/anoncert` allowed to reach it; every place must
-reach it and nothing else may:
+reach it and nothing else may, under any `as` name an import gives it:
 
 - `cryptography`: only `curve` and `envelope` import `cryptography`.
 - `aead or kdf`: only `envelope`, which alone knows the ciphertext
@@ -123,13 +123,28 @@ RULES = {
 }
 
 
+def _aliases(tree: ast.AST) -> dict:
+    """The dotted name each `as` name of `tree`'s imports stands for: M
+    for `import M as A`, P.N for `from P import N as A` (N alone when P
+    is a bare relative `.`)."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            aliases.update((alias.asname,
+                            ".".join(filter(None, (module, alias.name))))
+                           for alias in node.names if alias.asname)
+    return aliases
+
+
 def _uses(tree: ast.AST, names: set) -> set:
     """(where, name) of each import, bare read and `x.attr` read in `tree`
-    of a dotted name with one of `names` as a run of its parts. `where` is
-    "import" for an import; for a read, the dotted class and function
+    of a dotted name with one of `names` as a run of its parts; a read
+    through an import's `as` name is named by what it stands for. `where`
+    is "import" for an import; for a read, the dotted class and function
     scope around it, with " if <test>" or " if not (<test>)" for the
     innermost `if` branch it lies in."""
-    found = set()
+    found, aliases = set(), _aliases(tree)
 
     def visit(node, scope, branch):
         where = ".".join(scope) + (f" if {branch}" if branch else "")
@@ -138,9 +153,10 @@ def _uses(tree: ast.AST, names: set) -> set:
             read = [("import", ".".join(filter(None, (module, alias.name))))
                     for alias in node.names]
         elif isinstance(node, ast.Name):
-            read = [(where, node.id)]
+            read = [(where, aliases.get(node.id, node.id))]
         elif isinstance(node, ast.Attribute):
-            read = [(where, f"{getattr(node.value, 'id', '')}.{node.attr}")]
+            base = getattr(node.value, "id", "")
+            read = [(where, f"{aliases.get(base, base)}.{node.attr}")]
         else:
             read = []
         found.update(use for use in read
@@ -243,6 +259,19 @@ def test_a_signature_check_by_hand_is_found():
         ("check", ".issuer_signature")}
 
 
+def test_a_signature_check_through_an_alias_is_found():
+    assert _planted("signature", "actors.py",
+                    "from . import envelope as e\n"
+                    "def check(req, key, tbs):\n"
+                    "    return e.verify(key, tbs, None)\n"
+                    ) == {("check", "envelope.verify")}
+    assert _planted("signature", "actors.py",
+                    "from . import certs as c\n"
+                    "def check(req):\n"
+                    "    return c.tbs_bytes(req)\n"
+                    ) == {("check", "certs.tbs_bytes")}
+
+
 def test_only_envelope_walks_public_scalars():
     _holds("mul_add")
 
@@ -264,6 +293,12 @@ def test_a_public_scalar_walk_is_found():
                     "def verify(signer_public, message, sig):\n"
                     "    return mul_add(sig.r, sig.s, signer_public)\n"
                     ) == {("ecies_encrypt", "mul_add")}
+    # an allowed import under another name is still mul_add where it is called
+    assert _planted("mul_add", "envelope.py",
+                    "from .curve import mul_add as walk\n"
+                    "def ecies_encrypt(recipient_public, plaintext, rng):\n"
+                    "    return walk(rng, rng, recipient_public)\n"
+                    ) == {("ecies_encrypt", "curve.mul_add")}
 
 
 def test_only_mul_add_and_the_toy_multiply_walk_the_comb():
