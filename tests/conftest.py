@@ -1,16 +1,10 @@
 import random
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY, get_curve
 from anoncert.rng import DeterministicRng
-
-
-# `--hypothesis-profile=ci`: the settings in force, so the same example
-# counts and deadlines, plus a `@reproduce_failure` blob printed with each
-# falsifying example, which replays a CI failure without its database
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

@@ -278,15 +278,12 @@ def _signed_samples(curve_id=SECP256R1):
 
 
 @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=_class_name)
-def test_each_record_takes_its_wire_fields_in_order(cls):
-    layout = LAYOUT[cls]
-    assert [field.name for field in dataclasses.fields(cls)] == [
-        name for name, _ in layout.fields] + [layout.signature]
+def test_each_record_is_a_frozen_certs_class(cls):
     assert (cls.__module__, cls.__qualname__) == ("anoncert.certs",
                                                   cls.__name__)
     msg = _signed_samples()[1][cls]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(msg, layout.signature, None)
+        setattr(msg, LAYOUT[cls].signature, None)
 
 
 @pytest.mark.parametrize("accepted", MESSAGE_CLASSES, ids=_class_name)
