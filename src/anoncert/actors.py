@@ -3,12 +3,16 @@
 Each step is a pure transition (state, message) -> (state', outputs); no
 actor mutates another's state, so a harness may run them on separate
 threads with message passing. Within one actor, steps are serialized.
+A step takes its state, what arrived (the message; for the RA also the
+id of the EE that sent it) and the clock or the randomness it draws.
 Actors keep no record of the bytes they exchange: the caller carries each
 message over the wire (`certs.encode`, then `certs.decode` with the class
 the receiving step accepts) and keeps any transcript.
 Each state holds the one private key its actor uses and the public keys
-it trusts; the EE's own public key I is the one on its preexisting
-certificate.
+it trusts (the EE's: one RA key, one CA key), and the CA's the validity
+window it issues; the EE's own public key I is the one on its
+preexisting certificate. `_open` opens every envelope and reads its
+plaintext as its `certs` layout; either failure is `EnvelopeFailure`.
 
 State hygiene rules enforced here: the RA never stores r_RA; it uses it
 only to compute J = I + r_RA*G, and keeps per pending request just the
@@ -21,9 +25,9 @@ state (the harness checks j against the r_RA the EE drew).
 One identity gets one credential: the RA forwards only requests whose
 preexisting certificate verifies under the identity root, at most one per
 certificate serial, and it routes (dropping the pending EE id) only
-responses the CA signed; the CA answers each request hash once. Every certificate check is
-one `verify_certificate` call that names the kind it accepts; every other
-signature check is one `verify_signed` call.
+responses the CA signed; the CA answers each request hash once. Every
+certificate check is one `verify_certificate` call that names the kind it
+accepts; every other signature check is one `verify_signed` call.
 
 Each trust decision is made by one check. The EE does not check the
 response's signature: what it accepts is decided by `z_ct` opening under
@@ -54,6 +58,8 @@ from .certs import (
     ForwardedRequest,
     KIND_ANONYMOUS,
     KIND_PREEXISTING,
+    R_RA_PAYLOAD,
+    S_PAYLOAD,
     Z_PAYLOAD,
     encode,
     issue_certificate,
@@ -110,6 +116,8 @@ class EeResult:
 class EeState:
     private: Scalar  # i; its curve is the EE's curve
     preexisting_cert: Certificate
+    ra_public: Point  # r_RA is sealed to this key
+    ca_public: Point  # s is sealed to it, and it issues the certificate
     secrets: Optional[EeSecrets] = None
     result: Optional[EeResult] = None
 
@@ -128,19 +136,28 @@ class RaState:
 class CaState:
     private: Scalar
     trusted_ra_public: Point
+    validity: tuple[int, int]  # (not_before, not_after) of every certificate
     request_hashes: frozenset = frozenset()  # every request answered
 
 
-def ee_create_request(state: EeState, ra_public: Point, ca_public: Point,
-                      details: Mapping[str, str],
+def _open(decrypt, key, ct: bytes, layout, name: str, *aad) -> list:
+    """The `layout` fields of what `decrypt` opens `ct` under `key` to."""
+    try:
+        return unpack(layout, decrypt(key, ct, *aad))
+    except AnoncertError as exc:
+        raise EnvelopeFailure(f"could not open {name} envelope: {exc}") from exc
+
+
+def ee_create_request(state: EeState, details: Mapping[str, str],
                       rng: RandomSource) -> tuple[CertificateRequest, EeState]:
     if state.secrets is not None:
         raise ProtocolStateError("a request is already pending for this EE")
     params = get_curve(state.private.curve_id)
     r_ra = random_blinding(params, rng)
     aes_key = rng.read(32)
-    r_ra_ct = ecies_encrypt(ra_public, r_ra.to_bytes(), rng)
-    s_ct = ecies_encrypt(ca_public, aes_key, rng)
+    r_ra_ct = ecies_encrypt(state.ra_public,
+                            pack(R_RA_PAYLOAD, (r_ra.to_bytes(),)), rng)
+    s_ct = ecies_encrypt(state.ca_public, pack(S_PAYLOAD, (aes_key,)), rng)
     req = signed(CertificateRequest, state.private,
                  preexisting_cert=state.preexisting_cert, r_ra_ct=r_ra_ct,
                  s_ct=s_ct, details=dict(details))
@@ -167,13 +184,9 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
     if cert.serial in state.claimed_serials:
         raise AlreadyServed("this certificate serial already has a request "
                             "pending or served")
-    try:
-        plaintext = ecies_decrypt(state.private, req.r_ra_ct)
-    except AnoncertError as exc:
-        raise EnvelopeFailure(f"could not open r_RA envelope: {exc}") from exc
-    if len(plaintext) != 32:
-        raise EnvelopeFailure("r_RA plaintext is not a 32-byte scalar")
-    r_ra = Scalar.from_bytes(plaintext, params.curve_id)
+    (r_ra_bytes,) = _open(ecies_decrypt, state.private, req.r_ra_ct,
+                          R_RA_PAYLOAD, "r_RA")
+    r_ra = Scalar.from_bytes(r_ra_bytes, params.curve_id)
     # BlindingOutOfRange (r_RA not in [1, n-1]) and DegenerateResult
     # propagate: r_RA is EE-chosen, so the RA cannot resample; the EE must
     # retry with a fresh blinding value.
@@ -183,14 +196,11 @@ def ra_process_request(state: RaState, req: CertificateRequest, ee_id: str,
     fwd = signed(ForwardedRequest, state.private,
                  curve_id=params.curve_id, temporary_public_key=temp_public,
                  s_ct=req.s_ct, details=details)
-    pending = dict(state.pending)
-    pending[req_hash] = ee_id
-    return fwd, replace(state, pending=pending,
+    return fwd, replace(state, pending={**state.pending, req_hash: ee_id},
                         claimed_serials=state.claimed_serials | {cert.serial})
 
 
 def ca_process_request(state: CaState, fwd: ForwardedRequest,
-                       validity: tuple[int, int],
                        rng: RandomSource) -> tuple[CertificateResponse, CaState]:
     params = get_curve(fwd.curve_id)
     if not verify_signed(fwd, state.trusted_ra_public):
@@ -206,14 +216,9 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
         raise MalformedEncoding("RA request hash is not 32 bytes")
     if request_hash in state.request_hashes:
         raise DuplicateRequest("a response for this request hash was issued")
-    # open s, and check that it is a 32-byte AES key, before drawing r_CA,
-    # so no certificate is signed for a request the CA cannot answer
-    try:
-        aes_key = ecies_decrypt(state.private, fwd.s_ct)
-    except AnoncertError as exc:
-        raise EnvelopeFailure(f"could not open AES-key envelope: {exc}") from exc
-    if len(aes_key) != 32:
-        raise EnvelopeFailure("AES key plaintext is not 32 bytes")
+    # open s before drawing r_CA: sign no certificate the CA cannot send
+    (aes_key,) = _open(ecies_decrypt, state.private, fwd.s_ct, S_PAYLOAD,
+                       "AES-key")
     for attempt in range(MAX_BLINDING_RETRIES):
         r_ca = random_blinding(params, rng)
         try:
@@ -223,10 +228,9 @@ def ca_process_request(state: CaState, fwd: ForwardedRequest,
             continue
     else:
         raise DegenerateResult("blinding kept degenerating; giving up")
-    anon_cert = issue_certificate(
-        state.private, CA_ISSUER_NAME, "", formal_public,
-        validity, KIND_ANONYMOUS, rng,
-    )
+    anon_cert = issue_certificate(state.private, CA_ISSUER_NAME, "",
+                                  formal_public, state.validity,
+                                  KIND_ANONYMOUS, rng)
     payload = pack(Z_PAYLOAD, (anon_cert, r_ca.to_bytes()))
     # AAD binds the response envelope to its request hash so z cannot be
     # spliced onto another request.
@@ -251,20 +255,13 @@ def ra_route_response(state: RaState, resp: CertificateResponse
 
 
 def ee_process_response(state: EeState, resp: CertificateResponse,
-                        ca_public: Point, now: int) -> EeState:
+                        now: int) -> EeState:
     if state.secrets is None:
         raise ProtocolStateError("no request pending for this EE")
-    params = get_curve(state.private.curve_id)
-    try:
-        payload = sym_decrypt(state.secrets.aes_key, resp.z_ct,
-                              resp.request_hash)
-    except AnoncertError as exc:
-        raise EnvelopeFailure(f"could not open z envelope: {exc}") from exc
-    try:
-        anon_cert, r_ca_bytes = unpack(Z_PAYLOAD, payload)
-    except MalformedEncoding as exc:
-        raise EnvelopeFailure(f"bad z payload: {exc}") from exc
-    r_ca = Scalar.from_bytes(r_ca_bytes, params.curve_id)
+    anon_cert, r_ca_bytes = _open(sym_decrypt, state.secrets.aes_key,
+                                  resp.z_ct, Z_PAYLOAD, "z",
+                                  resp.request_hash)
+    r_ca = Scalar.from_bytes(r_ca_bytes, state.private.curve_id)
     temp_private = expand_private(state.private, state.secrets.r_ra)
     formal_private = expand_private(temp_private, r_ca)
     try:
@@ -272,7 +269,8 @@ def ee_process_response(state: EeState, resp: CertificateResponse,
     except ValueError:
         raise KeyMismatch(
             "formal private key does not match certificate key") from None
-    if not verify_certificate(anon_cert, ca_public, now, KIND_ANONYMOUS):
+    if not verify_certificate(anon_cert, state.ca_public, now,
+                              KIND_ANONYMOUS):
         raise BadCertificate("anonymous certificate does not verify")
     result = EeResult(anon_cert, temp_private, formal_private)
     return replace(state, secrets=None, result=result)

@@ -17,7 +17,8 @@ Hashes and signatures cover these canonical bytes, and only `signed` and
 The ciphertexts a message carries (a request's `r_ra_ct` and `s_ct`, a
 response's `z_ct`) are opaque `BLOB` fields: their layout is `envelope`'s
 alone, so decoding never looks inside one, and the actor that opens a
-ciphertext refuses one too short to hold its parts.
+ciphertext refuses one too short to hold its parts. What each one seals
+is declared here, as `R_RA_PAYLOAD`, `S_PAYLOAD` or `Z_PAYLOAD`.
 
 A certificate's curve is its issuer key's: `issue_certificate` refuses a
 subject key tagged with another curve. `verify_certificate` refuses a
@@ -194,8 +195,9 @@ Ballot = _message(
     "Ballot", 0x0005, "signature",
     ("payload", BLOB), ("anon_cert", NESTED_CERT))
 
-# The plaintext of a response's z_ct: the anonymous certificate and the
-# CA's 32-byte blinding scalar r_CA.
+# What r_ra_ct, s_ct and z_ct seal: 32-byte r_RA, 32-byte s, cert and r_CA.
+R_RA_PAYLOAD = (("r_ra", HASH),)
+S_PAYLOAD = (("s", HASH),)
 Z_PAYLOAD = (("anon_cert", NESTED_CERT), ("r_ca", HASH))
 
 _BY_TAG = {layout.tag: cls for cls, layout in LAYOUT.items()}
@@ -225,7 +227,7 @@ def tbs_bytes(msg) -> bytes:
         layout.fields, [getattr(msg, name) for name, _ in layout.fields])
 
 
-# Per-type names for the same bytes, for callers that name the message type.
+# Aliases kept for perfbench's tracer until ROADMAP item 1's benchmark change.
 cert_tbs_bytes = request_tbs_bytes = forwarded_tbs_bytes = tbs_bytes
 response_tbs_bytes = ballot_tbs_bytes = tbs_bytes
 

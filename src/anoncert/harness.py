@@ -147,11 +147,12 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             VALIDITY_WINDOW, KIND_PREEXISTING, rng,
         )
         serials.add(cert.serial)
-        voters.append((ee_id, rng, EeState(keys.private, cert)))
+        voters.append((ee_id, rng, EeState(keys.private, cert, ra_keys.public,
+                                           ca_keys.public)))
 
     ra = RaState(ra_keys.private, ca_keys.public, identity_keys.public,
                  frozenset(serials))
-    ca = CaState(ca_keys.private, ra_keys.public)
+    ca = CaState(ca_keys.private, ra_keys.public, VALIDITY_WINDOW)
 
     ra_forbidden = []  # (label, needle) never allowed in RA transcript
     ca_forbidden = []  # likewise for the CA
@@ -172,8 +173,7 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
             (f"{ee_id}.preexisting_serial", ee.preexisting_cert.serial),
         ]
         try:
-            req, ee = ee_create_request(ee, ra_keys.public, ca_keys.public,
-                                        details, rng)
+            req, ee = ee_create_request(ee, details, rng)
             r_ra = ee.secrets.r_ra  # as drawn by the EE, gone after finalizing
             ca_forbidden.append((f"{ee_id}.r_RA", r_ra.to_bytes()))
 
@@ -182,14 +182,14 @@ def run_scenario(cfg: ScenarioConfig, dump_dir=None) -> RunReport:
                 ee_id, SIMULATION_TIME)
             resp, ca = ca_process_request(
                 ca, _deliver(log, "RA", "CA", fwd, ForwardedRequest),
-                VALIDITY_WINDOW, root.split(f"ca-{ee_id}"))
+                root.split(f"ca-{ee_id}"))
             resp = _deliver(log, "CA", "RA", resp, CertificateResponse)
             route, ra = ra_route_response(ra, resp)
             if route != ee_id:
                 raise ProtocolStateError(f"RA routed the response to {route}")
             ee = ee_process_response(
                 ee, _deliver(log, "RA", "EE", resp, CertificateResponse),
-                ca_keys.public, SIMULATION_TIME)
+                SIMULATION_TIME)
             result = ee.result
             i = ee.private.value
             # the CA's draw whenever the EE's k*G == K check passed

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from anoncert.certs import LAYOUT, signed
 from anoncert.curve import BRAINPOOL_P256R1, SECP256R1, TOY, get_curve
 from anoncert.rng import DeterministicRng
 
@@ -79,6 +80,14 @@ def spy(monkeypatch, owner, name, hook=None) -> list:
 
     monkeypatch.setattr(owner, name, wrapped)
     return calls
+
+
+def resigned(msg, key, **changes):
+    """`msg` with `changes`, signed again with `key`: a forgery names only
+    the fields it changes."""
+    cls = type(msg)
+    fields = {name: getattr(msg, name) for name, _ in LAYOUT[cls].fields}
+    return signed(cls, key, **{**fields, **changes})
 
 
 @st.composite

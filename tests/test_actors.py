@@ -25,7 +25,6 @@ from anoncert.certs import (
     KIND_PREEXISTING,
     Z_PAYLOAD,
     Ballot,
-    Certificate,
     CertificateRequest,
     CertificateResponse,
     ForwardedRequest,
@@ -67,7 +66,7 @@ from anoncert.errors import (
 from anoncert.harness import _deliver
 from anoncert.rng import DeterministicRng
 from anoncert.vectors import PUBLISHED_VECTORS
-from conftest import mutated, spy
+from conftest import mutated, resigned, spy
 
 NOW = 1_750_000_000
 VALIDITY = (NOW - 10, NOW + 3600)
@@ -83,10 +82,11 @@ class Setup:
         cert = issue_certificate(self.identity.private, "IdentityRoot",
                                  "voter-0", ee_keys.public, VALIDITY,
                                  KIND_PREEXISTING, rng)
-        self.ee = EeState(ee_keys.private, cert)
+        self.ee = EeState(ee_keys.private, cert, self.ra_keys.public,
+                          self.ca_keys.public)
         self.ra = RaState(self.ra_keys.private, self.ca_keys.public,
                           self.identity.public, frozenset({cert.serial}))
-        self.ca = CaState(self.ca_keys.private, self.ra_keys.public)
+        self.ca = CaState(self.ca_keys.private, self.ra_keys.public, VALIDITY)
         self.rng = rng
 
     def run_flow(self, ee_rng=None, ca_rng=None, details=None):
@@ -94,22 +94,12 @@ class Setup:
         ca_rng = ca_rng or self.rng
         details = details or {"purpose": "vote", "election_id": "E1",
                               "name": "Jane Roe"}
-        req, self.ee = ee_create_request(self.ee, self.ra_keys.public,
-                                         self.ca_keys.public, details, ee_rng)
+        req, self.ee = ee_create_request(self.ee, details, ee_rng)
         fwd, self.ra = ra_process_request(self.ra, req, "voter-0", NOW)
-        resp, self.ca = ca_process_request(self.ca, fwd, VALIDITY, ca_rng)
+        resp, self.ca = ca_process_request(self.ca, fwd, ca_rng)
         ee_id, self.ra = ra_route_response(self.ra, resp)
-        self.ee = ee_process_response(self.ee, resp, self.ca_keys.public, NOW)
+        self.ee = ee_process_response(self.ee, resp, NOW)
         return req, fwd, resp, ee_id
-
-
-def ra_signed(setup, fwd, **changes):
-    """`fwd` with `changes`, signed again by the trusted RA."""
-    fields = dict(curve_id=fwd.curve_id,
-                  temporary_public_key=fwd.temporary_public_key,
-                  s_ct=fwd.s_ct, details=fwd.details)
-    return signed(ForwardedRequest, setup.ra_keys.private,
-                  **{**fields, **changes})
 
 
 @pytest.mark.parametrize("curve_id", [BRAINPOOL_P256R1, SECP256R1])
@@ -138,29 +128,24 @@ def test_published_chain_end_to_end(curve_id, scripted_rng):
 
 class TestEeRequest:
     def test_request_verifies_under_original_key(self, drng):
-        from anoncert.certs import request_tbs_bytes
         from anoncert.envelope import verify
         setup = Setup()
-        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                    setup.ca_keys.public, {}, drng)
-        assert verify(setup.ee.preexisting_cert.public_key, request_tbs_bytes(req),
+        req, ee = ee_create_request(setup.ee, {}, drng)
+        assert verify(setup.ee.preexisting_cert.public_key, tbs_bytes(req),
                       req.signature)
         assert ee.secrets is not None
 
     def test_single_pending_request(self, drng):
         setup = Setup()
-        _, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                  setup.ca_keys.public, {}, drng)
+        _, ee = ee_create_request(setup.ee, {}, drng)
         with pytest.raises(ProtocolStateError):
-            ee_create_request(ee, setup.ra_keys.public, setup.ca_keys.public,
-                              {}, drng)
+            ee_create_request(ee, {}, drng)
 
 
 class TestRaProcessing:
     def test_tampered_signature(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         bad = dataclasses.replace(
             req, signature=dataclasses.replace(
                 req.signature,
@@ -171,8 +156,7 @@ class TestRaProcessing:
 
     def test_ineligible_serial(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         ra = dataclasses.replace(setup.ra, eligibility=frozenset())
         with pytest.raises(Ineligible):
             ra_process_request(ra, req, "voter-0", NOW)
@@ -187,14 +171,12 @@ class TestRaProcessing:
                 if forgery == "foreign_root" else setup.identity)
         validity = (0, 1) if forgery == "expired" else VALIDITY
         kind = KIND_ANONYMOUS if forgery == "anonymous" else KIND_PREEXISTING
-        cert = signed(Certificate, root.private,
-                      serial=setup.ee.preexisting_cert.serial, subject="",
-                      issuer="IdentityRoot", curve_id=setup.params.curve_id,
-                      public_key=attacker.public, not_before=validity[0],
-                      not_after=validity[1], kind=kind)
-        forged = EeState(attacker.private, cert)
-        req, _ = ee_create_request(forged, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        cert = resigned(setup.ee.preexisting_cert, root.private,
+                        public_key=attacker.public, not_before=validity[0],
+                        not_after=validity[1], kind=kind)
+        forged = dataclasses.replace(setup.ee, private=attacker.private,
+                                     preexisting_cert=cert)
+        req, _ = ee_create_request(forged, {}, drng)
         with pytest.raises(BadCertificate):
             ra_process_request(setup.ra, req, "mallory", NOW)
         setup.run_flow()
@@ -203,15 +185,14 @@ class TestRaProcessing:
     def test_details_sanitized(self, drng):
         setup = Setup()
         req, _ = ee_create_request(
-            setup.ee, setup.ra_keys.public, setup.ca_keys.public,
-            {"name": "Jane Roe", "election_id": "E1", "phone": "555"}, drng)
+            setup.ee, {"name": "Jane Roe", "election_id": "E1", "phone": "555"},
+            drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         assert set(fwd.details) == {"election_id", REQUEST_HASH_KEY}
 
     def test_forward_excludes_original_key_material(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {"name": "x"}, drng)
+        req, _ = ee_create_request(setup.ee, {"name": "x"}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         blob = encode(fwd)
         assert setup.ee.preexisting_cert.public_key.to_bytes() not in blob
@@ -219,8 +200,7 @@ class TestRaProcessing:
 
     def test_duplicate_request_rejected(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         _, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
         with pytest.raises(DuplicateRequest):
             ra_process_request(ra, req, "voter-0", NOW)
@@ -229,8 +209,7 @@ class TestRaProcessing:
         setup = Setup()
         # r_RA = n - i makes J the identity, which the RA cannot fix
         r_ra = (setup.params.n - setup.ee.private.value)
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {},
+        req, _ = ee_create_request(setup.ee, {},
                                    scripted_rng([r_ra.to_bytes(32, "big")]))
         with pytest.raises(DegenerateResult):
             ra_process_request(setup.ra, req, "voter-0", NOW)
@@ -238,7 +217,8 @@ class TestRaProcessing:
     @pytest.mark.parametrize("recipient, plaintext, error, message", [
         ("ca", lambda n: (1).to_bytes(32, "big"), EnvelopeFailure,
          "could not open"),
-        ("ra", lambda n: b"\x01" * 31, EnvelopeFailure, "32-byte"),
+        ("ra", lambda n: b"\x01" * 31, EnvelopeFailure,
+         "r_RA envelope: truncated while reading r_ra"),
         ("ra", lambda n: bytes(32), BlindingOutOfRange, "outside"),
         ("ra", lambda n: n.to_bytes(32, "big"), BlindingOutOfRange,
          "outside"),
@@ -248,14 +228,11 @@ class TestRaProcessing:
         # an EE-signed request whose r_RA envelope gives the RA no usable
         # r_RA; `expand_public` refuses one outside [1, n-1]
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         public = {"ca": setup.ca_keys.public,
                   "ra": setup.ra_keys.public}[recipient]
         r_ra_ct = ecies_encrypt(public, plaintext(setup.params.n), drng)
-        forged = signed(CertificateRequest, setup.ee.private,
-                        preexisting_cert=req.preexisting_cert,
-                        r_ra_ct=r_ra_ct, s_ct=req.s_ct, details=req.details)
+        forged = resigned(req, setup.ee.private, r_ra_ct=r_ra_ct)
         with pytest.raises(error, match=message):
             ra_process_request(setup.ra, forged, "voter-0", NOW)
 
@@ -268,16 +245,14 @@ class TestRaProcessing:
         minus_g = Point(params.curve_id, params.gx, params.p - params.gy)
         value, offset = {"1": (1, params.g),
                          "n-1": (params.n - 1, minus_g)}[r_ra]
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {},
+        req, _ = ee_create_request(setup.ee, {},
                                    scripted_rng([value.to_bytes(32, "big")]))
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         assert fwd.temporary_public_key == point_add(I, offset)
 
     def test_unknown_curve_is_typed(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         cert = dataclasses.replace(req.preexisting_cert, curve_id="nope")
         wire = decode(encode(dataclasses.replace(req, preexisting_cert=cert)))
         with pytest.raises(UnknownCurve):
@@ -285,10 +260,8 @@ class TestRaProcessing:
 
     def test_serial_pending_refused(self, drng):
         setup = Setup()
-        first, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                     setup.ca_keys.public, {}, drng)
-        second, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                      setup.ca_keys.public, {}, drng)
+        first, _ = ee_create_request(setup.ee, {}, drng)
+        second, _ = ee_create_request(setup.ee, {}, drng)
         assert encode(first) != encode(second)
         _, ra = ra_process_request(setup.ra, first, "voter-0", NOW)
         with pytest.raises(AlreadyServed):
@@ -299,16 +272,14 @@ class TestRaProcessing:
         setup = Setup()
         setup.run_flow()
         assert not setup.ra.pending
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         with pytest.raises(AlreadyServed):
             ra_process_request(setup.ra, req, "voter-0", NOW)
 
     def test_pending_entry_stored(self, drng):
         from anoncert.envelope import digest
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         _, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
         assert digest(encode(req)) in ra.pending
 
@@ -316,62 +287,57 @@ class TestRaProcessing:
 class TestCaProcessing:
     def test_invalid_ra_signature(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         forged = dataclasses.replace(fwd, details={**fwd.details,
                                                    "extra": "field"})
         with pytest.raises(BadSignature):
-            ca_process_request(setup.ca, forged, VALIDITY, drng)
+            ca_process_request(setup.ca, forged, drng)
 
     @pytest.mark.parametrize("hash_hex", ["zz", "AB" * 31, "AB" * 33],
                              ids=["not-hex", "31-bytes", "33-bytes"])
     def test_malformed_request_hash(self, drng, hash_hex):
         # a request hash the RA signed but that is no 32-byte hex value
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        forged = ra_signed(setup, fwd,
-                           details={**fwd.details, REQUEST_HASH_KEY: hash_hex})
+        forged = resigned(fwd, setup.ra_keys.private,
+                          details={**fwd.details, REQUEST_HASH_KEY: hash_hex})
         with pytest.raises(MalformedEncoding):
-            ca_process_request(setup.ca, forged, VALIDITY, drng)
+            ca_process_request(setup.ca, forged, drng)
 
     def test_missing_request_hash(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         details = dict(fwd.details)
         del details[REQUEST_HASH_KEY]
+        forged = resigned(fwd, setup.ra_keys.private, details=details)
         with pytest.raises(ProtocolStateError):
-            ca_process_request(setup.ca, ra_signed(setup, fwd, details=details),
-                               VALIDITY, drng)
+            ca_process_request(setup.ca, forged, drng)
 
     @pytest.mark.parametrize("recipient, key_len, message", [
         ("ra", 32, "could not open"),
-        ("ca", 16, "not 32 bytes"),
+        ("ca", 16, "AES-key envelope: truncated while reading s"),
     ], ids=["sealed-to-ra", "16-byte-key"])
     def test_unusable_aes_key_envelope(self, drng, monkeypatch, recipient,
                                        key_len, message):
         # the CA refuses before it signs a certificate it could not send
         issued = spy(monkeypatch, actors, "issue_certificate")
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         public = {"ca": setup.ca_keys.public,
                   "ra": setup.ra_keys.public}[recipient]
         s_ct = ecies_encrypt(public, drng.read(key_len), drng)
+        forged = resigned(fwd, setup.ra_keys.private, s_ct=s_ct)
         with pytest.raises(EnvelopeFailure, match=message):
-            ca_process_request(setup.ca, ra_signed(setup, fwd, s_ct=s_ct),
-                               VALIDITY, drng)
+            ca_process_request(setup.ca, forged, drng)
         assert issued == []
 
     def test_degenerate_blinding_redrawn(self, drng, monkeypatch):
         setup = Setup()
-        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                    setup.ca_keys.public, {}, drng)
+        req, ee = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         draws, expand = [], actors.expand_public
 
@@ -382,16 +348,15 @@ class TestCaProcessing:
             return expand(P, r)
 
         monkeypatch.setattr(actors, "expand_public", degenerate_once)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
-        ee = ee_process_response(ee, resp, setup.ca_keys.public, NOW)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
+        ee = ee_process_response(ee, resp, NOW)
         assert len(draws) == 2 and draws[0] != draws[1]
         assert ee.result.anon_cert.public_key == \
             expand(fwd.temporary_public_key, draws[1])
 
     def test_degenerate_blinding_gives_up(self, drng, monkeypatch):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
         draws = []
 
@@ -401,26 +366,24 @@ class TestCaProcessing:
 
         monkeypatch.setattr(actors, "expand_public", degenerate)
         with pytest.raises(DegenerateResult, match="giving up"):
-            ca_process_request(setup.ca, fwd, VALIDITY, drng)
+            ca_process_request(setup.ca, fwd, drng)
         assert len(draws) == MAX_BLINDING_RETRIES
 
     def test_replayed_request_refused(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        _, ca = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        _, ca = ca_process_request(setup.ca, fwd, drng)
         with pytest.raises(DuplicateRequest):
-            ca_process_request(ca, fwd, VALIDITY, drng)
+            ca_process_request(ca, fwd, drng)
 
     def test_z_only_opens_under_s(self, drng):
         from anoncert.envelope import sym_decrypt
         from anoncert.errors import AuthenticationFailure
         setup = Setup()
-        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                    setup.ca_keys.public, {}, drng)
+        req, ee = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         opened = sym_decrypt(ee.secrets.aes_key, resp.z_ct, resp.request_hash)
         assert len(opened) > 36
         with pytest.raises(AuthenticationFailure):
@@ -431,10 +394,9 @@ class TestCaProcessing:
 class TestRouting:
     def test_route_and_clear(self, drng):
         setup = Setup()
-        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                    setup.ca_keys.public, {}, drng)
+        req, ee = ee_create_request(setup.ee, {}, drng)
         fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         ee_id, ra = ra_route_response(ra, resp)
         assert ee_id == "voter-0"
         assert not ra.pending
@@ -443,10 +405,9 @@ class TestRouting:
 
     def test_unknown_hash(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         with pytest.raises(UnknownRequestHash):
             ra_route_response(dataclasses.replace(setup.ra), resp)
 
@@ -455,14 +416,11 @@ class TestRouting:
         # not drop the pending EE id, or the CA's genuine response finds
         # no entry
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         stranger = generate_keypair(setup.params, drng)
-        forged = signed(CertificateResponse, stranger.private,
-                        curve_id=resp.curve_id, z_ct=resp.z_ct,
-                        request_hash=resp.request_hash)
+        forged = resigned(resp, stranger.private)
         with pytest.raises(BadSignature):
             ra_route_response(ra, forged)
         assert ra.pending.keys() == {resp.request_hash}
@@ -474,12 +432,11 @@ class TestRouting:
 class TestEeFinalization:
     def test_requires_pending_secrets(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         with pytest.raises(ProtocolStateError):
-            ee_process_response(setup.ee, resp, setup.ca_keys.public, NOW)
+            ee_process_response(setup.ee, resp, NOW)
 
     def test_stranger_signed_response_keeps_secrets(self, drng):
         # the EE does not check the response's signature: a stranger's
@@ -487,17 +444,12 @@ class TestEeFinalization:
         # certificate, and a stranger's z_ct, which does not open under s,
         # is refused and leaves the EE able to finalize with the CA's own
         setup = Setup()
-        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                    setup.ca_keys.public, {}, drng)
+        req, ee = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         stranger = generate_keypair(setup.params, drng)
-        resigned = signed(CertificateResponse, stranger.private,
-                          curve_id=resp.curve_id, z_ct=resp.z_ct,
-                          request_hash=resp.request_hash)
-        done = ee_process_response(ee, resigned, setup.ca_keys.public, NOW)
-        assert done == ee_process_response(ee, resp, setup.ca_keys.public,
-                                           NOW)
+        done = ee_process_response(ee, resigned(resp, stranger.private), NOW)
+        assert done == ee_process_response(ee, resp, NOW)
         # the stranger's own certificate on the EE's J, sealed under a key
         # of its own with the right request hash as AAD
         stranger_cert = issue_certificate(
@@ -507,8 +459,8 @@ class TestEeFinalization:
         z_ct = sym_encrypt(drng.read(32), payload, resp.request_hash, drng)
         forged = dataclasses.replace(resp, z_ct=z_ct, signature=None)
         with pytest.raises(EnvelopeFailure):
-            ee_process_response(ee, forged, setup.ca_keys.public, NOW)
-        done = ee_process_response(ee, resp, setup.ca_keys.public, NOW)
+            ee_process_response(ee, forged, NOW)
+        done = ee_process_response(ee, resp, NOW)
         assert done.result is not None
 
     def test_wrong_private_expansion_is_key_mismatch(self, monkeypatch):
@@ -531,12 +483,14 @@ class TestEeFinalization:
         # a K that is not k*G, and `Point.openssl_key` one that is no
         # public key, such as (x + p, y), which OpenSSL alone would take
         # for (x, y) on brainpoolP256r1
+        # (r_RA and s are read through `unpack` too, and left alone)
         params = get_curve(curve_id)
         other = ({BRAINPOOL_P256R1, SECP256R1} - {curve_id}).pop()
-        unpack = actors.unpack
 
-        def swap_key(fields, data):
-            cert, r_ca = unpack(fields, data)
+        def swap_key(values, fields, data):
+            if fields is not Z_PAYLOAD:
+                return None
+            cert, r_ca = values
             K = cert.public_key
             K = {"other": params.g,
                  "off_curve": Point(curve_id, K.x, (K.y + 1) % params.p),
@@ -545,30 +499,35 @@ class TestEeFinalization:
                  "other_curve": Point(other, K.x, K.y)}[case]
             return dataclasses.replace(cert, public_key=K), r_ca
 
-        monkeypatch.setattr(actors, "unpack", swap_key)
+        spy(monkeypatch, actors, "unpack", swap_key)
         setup = Setup(curve_id)
         with pytest.raises(KeyMismatch):
             setup.run_flow()
 
     def test_wrong_aes_key_is_envelope_failure(self, drng):
         setup = Setup()
-        req, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                    setup.ca_keys.public, {}, drng)
+        req, ee = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, drng)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         other_key = dataclasses.replace(
             ee, secrets=dataclasses.replace(
                 ee.secrets, aes_key=drng.read(32)))
         with pytest.raises(EnvelopeFailure):
-            ee_process_response(other_key, resp, setup.ca_keys.public, NOW)
+            ee_process_response(other_key, resp, NOW)
 
-    @pytest.mark.parametrize("mangle", ["truncated", "trailing", "ballot"])
-    def test_malformed_z_payload_is_envelope_failure(self, drng, mangle):
+    @pytest.mark.parametrize("mangle, message", [
+        ("truncated", "truncated while reading r_ca"),
+        ("trailing", "1 trailing bytes"),
+        ("ballot", "anon_cert has unexpected type tag 0x0005"),
+    ], ids=["truncated", "trailing", "ballot"])
+    def test_malformed_z_payload_is_envelope_failure(self, drng, mangle,
+                                                     message):
         # a CA-signed response whose z opens under the EE's key but does
         # not hold exactly a certificate and a 32-byte r_CA
         setup = Setup()
-        _, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                  setup.ca_keys.public, {}, drng)
+        req, ee = ee_create_request(setup.ee, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
         cert = ee.preexisting_cert
         payload = pack(Z_PAYLOAD, (cert, drng.read(32)))
         if mangle == "truncated":
@@ -579,13 +538,11 @@ class TestEeFinalization:
             ballot = encode(Ballot(b"alice", cert, cert.issuer_signature))
             payload = (len(ballot).to_bytes(4, "big") + ballot
                        + payload[-32:])
-        request_hash = drng.read(32)
-        z_ct = sym_encrypt(ee.secrets.aes_key, payload, request_hash, drng)
-        resp = signed(CertificateResponse, setup.ca_keys.private,
-                      curve_id=setup.params.curve_id, z_ct=z_ct,
-                      request_hash=request_hash)
-        with pytest.raises(EnvelopeFailure, match="z payload"):
-            ee_process_response(ee, resp, setup.ca_keys.public, NOW)
+        z_ct = sym_encrypt(ee.secrets.aes_key, payload, resp.request_hash,
+                           drng)
+        forged = resigned(resp, setup.ca_keys.private, z_ct=z_ct)
+        with pytest.raises(EnvelopeFailure, match=f"z envelope: {message}"):
+            ee_process_response(ee, forged, NOW)
 
     def test_preexisting_kind_certificate_refused(self, monkeypatch):
         # a CA that certifies K as `preexisting` gives a credential that
@@ -622,12 +579,8 @@ class TestShortCiphertexts:
     # field, and the actor that opens it refuses it, naming the envelope
     def test_short_r_ra_ct_refused_by_ra(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
-        short = signed(CertificateRequest, setup.ee.private,
-                       preexisting_cert=req.preexisting_cert,
-                       r_ra_ct=b"\x00" * 10, s_ct=req.s_ct,
-                       details=req.details)
+        req, _ = ee_create_request(setup.ee, {}, drng)
+        short = resigned(req, setup.ee.private, r_ra_ct=b"\x00" * 10)
         with pytest.raises(EnvelopeFailure, match="r_RA envelope") as info:
             ra_process_request(setup.ra, decode(encode(short)), "voter-0",
                                NOW)
@@ -635,25 +588,21 @@ class TestShortCiphertexts:
 
     def test_short_s_ct_refused_by_ca(self, drng):
         setup = Setup()
-        req, _ = ee_create_request(setup.ee, setup.ra_keys.public,
-                                   setup.ca_keys.public, {}, drng)
+        req, _ = ee_create_request(setup.ee, {}, drng)
         fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
-        short = ra_signed(setup, fwd, s_ct=fwd.s_ct[:64 + 15])
+        short = resigned(fwd, setup.ra_keys.private, s_ct=fwd.s_ct[:64 + 15])
         with pytest.raises(EnvelopeFailure, match="AES-key envelope") as info:
-            ca_process_request(setup.ca, decode(encode(short)), VALIDITY,
-                               drng)
+            ca_process_request(setup.ca, decode(encode(short)), drng)
         assert isinstance(info.value.__cause__, MalformedEncoding)
 
     def test_short_z_ct_refused_by_ee(self, drng):
         setup = Setup()
-        _, ee = ee_create_request(setup.ee, setup.ra_keys.public,
-                                  setup.ca_keys.public, {}, drng)
-        short = signed(CertificateResponse, setup.ca_keys.private,
-                       curve_id=setup.params.curve_id, z_ct=b"\x00" * 5,
-                       request_hash=drng.read(32))
+        req, ee = ee_create_request(setup.ee, {}, drng)
+        fwd, _ = ra_process_request(setup.ra, req, "voter-0", NOW)
+        resp, _ = ca_process_request(setup.ca, fwd, drng)
+        short = resigned(resp, setup.ca_keys.private, z_ct=b"\x00" * 5)
         with pytest.raises(EnvelopeFailure, match="z envelope") as info:
-            ee_process_response(ee, decode(encode(short)),
-                                setup.ca_keys.public, NOW)
+            ee_process_response(ee, decode(encode(short)), NOW)
         assert isinstance(info.value.__cause__, MalformedEncoding)
 
 
@@ -665,20 +614,19 @@ def _hops():
     was in when that hop arrived."""
     setup = Setup(SECP256R1)
     ee_key, ra_key = setup.ee.private, setup.ra_keys.private
-    ca_key, ca_public = setup.ca_keys.private, setup.ca_keys.public
-    req, ee = ee_create_request(setup.ee, setup.ra_keys.public, ca_public,
-                                {"election_id": "E1"}, setup.rng)
+    ca_key = setup.ca_keys.private
+    req, ee = ee_create_request(setup.ee, {"election_id": "E1"}, setup.rng)
     fwd, ra = ra_process_request(setup.ra, req, "voter-0", NOW)
-    resp, _ = ca_process_request(setup.ca, fwd, VALIDITY, setup.rng)
+    resp, _ = ca_process_request(setup.ca, fwd, setup.rng)
     return (
         (encode(req), CertificateRequest, ee_key, lambda m: ra_process_request(
             setup.ra, m, "voter-0", NOW)),
         (encode(fwd), ForwardedRequest, ra_key, lambda m: ca_process_request(
-            setup.ca, m, VALIDITY, DeterministicRng(b"ca"))),
+            setup.ca, m, DeterministicRng(b"ca"))),
         (encode(resp), CertificateResponse, ca_key,
          lambda m: ra_route_response(ra, m)),
         (encode(resp), CertificateResponse, ca_key,
-         lambda m: ee_process_response(ee, m, ca_public, NOW)),
+         lambda m: ee_process_response(ee, m, NOW)),
     )
 
 
@@ -696,8 +644,7 @@ def test_mutated_hop_fails_typed(hop, resign, data):
     except MalformedEncoding:
         return
     if resign:
-        msg = dataclasses.replace(msg,
-                                  signature=sign(sender_key, tbs_bytes(msg)))
+        msg = resigned(msg, sender_key)
     try:
         receive(msg)
     except AnoncertError:
@@ -750,24 +697,18 @@ class TestBallots:
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)
 
     def test_original_key_cannot_sign(self):
-        from anoncert.certs import ballot_tbs_bytes, Ballot
-        from anoncert.envelope import sign as ecdsa_sign
         setup = Setup()
         setup.run_flow()
         unsigned = Ballot(b"alice", setup.ee.result.anon_cert, None)
-        sig = ecdsa_sign(setup.ee.private,
-                         ballot_tbs_bytes(unsigned))
+        sig = sign(setup.ee.private, tbs_bytes(unsigned))
         forged = dataclasses.replace(unsigned, signature=sig)
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)
 
     def test_preexisting_cert_cannot_carry_ballot(self):
-        from anoncert.certs import ballot_tbs_bytes, Ballot
-        from anoncert.envelope import sign as ecdsa_sign
         setup = Setup()
         setup.run_flow()
         unsigned = Ballot(b"alice", setup.ee.preexisting_cert, None)
-        sig = ecdsa_sign(setup.ee.private,
-                         ballot_tbs_bytes(unsigned))
+        sig = sign(setup.ee.private, tbs_bytes(unsigned))
         forged = dataclasses.replace(unsigned, signature=sig)
         assert not verify_ballot(forged, setup.ca_keys.public, NOW)
 

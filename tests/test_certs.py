@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anoncert.certs import (
     Ballot,
-    Certificate,
     CertificateRequest,
     CertificateResponse,
     ForwardedRequest,
@@ -15,12 +14,10 @@ from anoncert.certs import (
     KIND_PREEXISTING,
     LAYOUT,
     Z_PAYLOAD,
-    cert_tbs_bytes,
     decode,
     encode,
     issue_certificate,
     pack,
-    request_tbs_bytes,
     sanitize_details,
     signed,
     tbs_bytes,
@@ -69,11 +66,9 @@ def make_request(params, issuer, rng, details=None):
     ca = generate_keypair(params, rng)
     r_ra_ct = ecies_encrypt(ra.public, rng.read(32), rng)
     s_ct = ecies_encrypt(ca.public, rng.read(32), rng)
-    unsigned = CertificateRequest(cert, r_ra_ct, s_ct,
-                                  details or {"purpose": "vote", "name": "x"},
-                                  None)
-    sig = sign(holder.private, request_tbs_bytes(unsigned))
-    return dataclasses.replace(unsigned, signature=sig)
+    return signed(CertificateRequest, holder.private, preexisting_cert=cert,
+                  r_ra_ct=r_ra_ct, s_ct=s_ct,
+                  details=details or {"purpose": "vote", "name": "x"})
 
 
 class TestIssuance:
@@ -243,7 +238,7 @@ class TestEncoding:
     def test_signature_covers_tbs_exactly(self, brainpool, issuer, drng):
         from anoncert.envelope import verify
         _, cert = make_cert(brainpool, issuer, drng)
-        assert verify(issuer.public, cert_tbs_bytes(cert),
+        assert verify(issuer.public, tbs_bytes(cert),
                       cert.issuer_signature)
 
 
